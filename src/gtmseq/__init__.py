@@ -48,7 +48,6 @@ from .kappa import (
     SequenceWindow,
     a_of_n,
     a_values,
-    b_exponent,
     equally_spaced,
     generate_prefix_morphic,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "SequenceWindow",
     "a_of_n",
     "a_values",
-    "b_exponent",
     "equally_spaced",
     "generate_prefix_morphic",
     "PeriodicityVerdict",

@@ -15,10 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import BudgetExceededError
-from .kappa import KappaSpec, a_values, word_budget
+from .kappa import KappaSpec, a_values, check_budget, spaced_indices
 
 __all__ = [
     "TruncatedProductSeries",
@@ -73,8 +70,7 @@ def product_coefficients(spec: KappaSpec, Y: int) -> TruncatedProductSeries:
         raise ValueError(f"Y must be >= 0, got {Y}")
     k, L = spec.k, spec.L
     size = k ** (Y + 1)
-    if size > word_budget():
-        raise BudgetExceededError(f"{size} coefficients exceed budget {word_budget()}")
+    check_budget(size)
     coeffs: list[int | None] = [None] * size
     coeffs[0] = 0
     for y in range(Y + 1):
@@ -117,7 +113,7 @@ def eval_series(
     if N < 0 or l < 1:
         raise ValueError("need N >= 0 and l >= 1")
     T = _digits_exponent(beta, digits)
-    vals = a_values(spec, N + l * np.arange(T, dtype=np.int64))
+    vals = a_values(spec, spaced_indices(N, l, T))
     numerator = 0
     for v in vals:
         numerator = numerator * beta + int(v)
@@ -135,7 +131,7 @@ def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int, A: int) ->
     if beta < spec.L:
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     P = spec.L * spec.k**A
-    vals = a_values(spec, N + l * np.arange(P, dtype=np.int64))
+    vals = a_values(spec, spaced_indices(N, l, P))
     numerator = 0
     for v in vals:
         numerator = numerator * beta + int(v)
@@ -159,7 +155,7 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int, value_map=None) -> Conv
     if len(set(images)) != L:
         raise ValueError(f"value_map must be injective on [0, {L - 1}]: {images}")
 
-    vals = a_values(spec, N + l * np.arange(depth, dtype=np.int64))
+    vals = a_values(spec, spaced_indices(N, l, depth))
     quotients = [0] + [images[int(v)] for v in vals]
 
     convergents = []

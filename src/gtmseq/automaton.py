@@ -9,7 +9,8 @@ where a_shift_e sums kappa(s, w + e) over the expansion terms (s, w) of
 n.  States are therefore (shift, offset) pairs; reading a low-order
 digit j refines (e, c) to (e + 1, c + kappa(j, e)) with kappa(0, .) = 0.
 For an eventually periodic spec the shift canonicalizes into
-[0, y0 + p), so the closure is finite with at most (y0 + p) * L states.
+[0, y0 + p) of the spec's normal form (minimal preperiod y0 and period
+p), so the closure is finite with at most (y0 + p) * L states.
 The literal subsequence materialization stays available as an
 independent lower-bound oracle.
 """
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, WindowExceededError
-from .kappa import KappaSpec, a_values, word_budget
+from .errors import WindowExceededError
+from .kappa import KappaSpec, a_values, check_budget
 
 __all__ = [
     "KernelState",
@@ -68,43 +69,24 @@ class KernelResult:
         }
 
 
-def _canonical_shift(spec: KappaSpec, e: int) -> int:
-    if spec.is_finite_window or e < spec.preperiod:
-        return e
-    return spec.preperiod + (e - spec.preperiod) % spec.period
-
-
-def _shifts_equal(spec: KappaSpec, e1: int, e2: int) -> bool:
-    """Column streams kappa(., y + e1) and kappa(., y + e2) agree for all y.
-
-    Both streams are eventually periodic with period p, so comparing up
-    to max(preperiods) + p decides equality everywhere.
-    """
-    if e1 == e2:
-        return True
-    if spec.is_finite_window:
-        return False  # only exact shifts identified; no period to lean on
-    pre = max(max(0, spec.preperiod - e1), max(0, spec.preperiod - e2))
-    horizon = pre + spec.period
-    return all(
-        spec.column(y + e1) == spec.column(y + e2) for y in range(horizon)
-    )
-
-
 def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
-    """Close the kernel under the k digit-refinement maps from (0, 0)."""
-    states: list[KernelState] = [KernelState(shift=_canonical_shift(spec, 0), offset=0)]
+    """Close the kernel under the k digit-refinement maps from (0, 0).
+
+    Shifts are kept as ``spec.canonical_column`` representatives, so two
+    states denote the same function exactly when they are equal.
+    """
+    states: list[KernelState] = [KernelState(shift=spec.canonical_column(0), offset=0)]
+    index = {states[0]: 0}
     transitions: list[list[int]] = []
     queue = deque([0])
 
     def find_or_add(candidate: KernelState) -> int | None:
-        for i, st in enumerate(states):
-            if st.offset == candidate.offset and _shifts_equal(
-                spec, st.shift, candidate.shift
-            ):
-                return i
+        found = index.get(candidate)
+        if found is not None:
+            return found
         if len(states) >= max_states:
             return None
+        index[candidate] = len(states)
         states.append(candidate)
         queue.append(len(states) - 1)
         return len(states) - 1
@@ -128,7 +110,7 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
                 # Finite-window spec ran out of columns: inconclusive.
                 return incomplete()
             child = KernelState(
-                shift=_canonical_shift(spec, st.shift + 1),
+                shift=spec.canonical_column(st.shift + 1),
                 offset=(st.offset + step) % spec.L,
             )
             child_idx = find_or_add(child)
@@ -146,19 +128,12 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
 
 
 def is_n_periodic(spec: KappaSpec):
-    """(preperiod, minimal period) of the kappa column stream, or None.
+    """Minimal (preperiod, period) of the kappa column stream, or None.
 
-    Finite-window specs claim no eventual period, hence None.  The
-    declared period is reduced to the minimal period of the repeating
-    column block.
+    This is ``spec.normal_form``: finite-window specs claim no eventual
+    period, hence None.
     """
-    if spec.is_finite_window:
-        return None
-    cols = [spec.column(spec.preperiod + i) for i in range(spec.period)]
-    for d in range(1, spec.period + 1):
-        if spec.period % d == 0 and all(cols[i] == cols[i % d] for i in range(spec.period)):
-            return spec.preperiod, d
-    raise AssertionError("unreachable: period always divides itself")
+    return spec.normal_form
 
 
 def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
@@ -169,10 +144,7 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     """
     if e_max < 0 or horizon < 1:
         raise ValueError("need e_max >= 0 and horizon >= 1")
-    if spec.k**e_max * horizon > word_budget():
-        raise BudgetExceededError(
-            f"{spec.k**e_max * horizon} values exceed budget {word_budget()}"
-        )
+    check_budget(spec.k**e_max * horizon)
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     base = np.arange(horizon, dtype=np.int64)
     for e in range(e_max + 1):

@@ -5,11 +5,15 @@ JSON report on stdout (wall time goes to stderr so identical inputs give
 byte-identical output).  Exit codes:
 
     0  success
-    2  spec-file parse error / bad usage
+    2  spec-file parse error / bad usage, including integers out of range
+       (an index reaching 2**63) and a base k too hard to factor
     3  operation refused because the sequence is (or may be) periodic
     4  finite-window spec queried beyond its window
-    5  memory budget exceeded (see the GTMSEQ_BUDGET environment variable)
+    5  memory budget exceeded: every word, window or index array is
+       checked against the GTMSEQ_BUDGET environment variable
     6  stammering index m below the legal minimum
+
+Each library error carries its exit code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -22,30 +26,21 @@ import time
 from . import __version__
 from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
-from .errors import (
-    BudgetExceededError,
-    MTooSmallError,
-    PeriodicSpecError,
-    SpecParseError,
-    WindowExceededError,
-)
+from .errors import GtmseqError
 from .expansion import gap_multiple
 from .kappa import equally_spaced, generate_prefix_morphic
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
 
-EXIT_PARSE = 2
-EXIT_PERIODIC = 3
-EXIT_WINDOW = 4
-EXIT_BUDGET = 5
-EXIT_M_TOO_SMALL = 6
+EXIT_USAGE = 2
 
 _EPILOG = """\
 exit codes:
-  0 success; 2 parse error; 3 periodic-refusal; 4 window-exceeded;
-  5 budget-exceeded (set GTMSEQ_BUDGET to raise the memory budget);
-  6 stammering index below minimum
+  0 success; 2 parse error or bad usage (also out-of-range integers and
+  an unfactorable k); 3 periodic-refusal; 4 window-exceeded;
+  5 budget-exceeded (every allocation is checked against GTMSEQ_BUDGET;
+  set it to raise the memory budget); 6 stammering index below minimum
 """
 
 
@@ -251,27 +246,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except SpecParseError as exc:
+    except GtmseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+        return exc.exit_code
+    except (ValueError, OverflowError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PeriodicSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PERIODIC
-    except WindowExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_M_TOO_SMALL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_USAGE
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"wall_time_ms={elapsed_ms:.3f}", file=sys.stderr)
     return code

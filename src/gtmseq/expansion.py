@@ -44,15 +44,6 @@ class DigitExpansion:
     def value(self) -> int:
         return sum(s * self.base**w for s, w in self.terms)
 
-    def coefficient_at(self, y: int) -> int:
-        """Digit at position y (0 when the position is vacant)."""
-        for s, w in self.terms:
-            if w == y:
-                return s
-            if w > y:
-                break
-        return 0
-
     def __len__(self) -> int:
         return len(self.terms)
 

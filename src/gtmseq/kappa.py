@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +28,10 @@ __all__ = [
     "SequenceWindow",
     "a_of_n",
     "a_values",
-    "b_exponent",
+    "check_budget",
     "equally_spaced",
     "generate_prefix_morphic",
+    "spaced_indices",
     "word_budget",
 ]
 
@@ -41,6 +43,26 @@ def word_budget() -> int:
     return int(os.environ.get("GTMSEQ_BUDGET", _DEFAULT_BUDGET))
 
 
+def check_budget(count: int) -> None:
+    """Raise BudgetExceededError if materializing ``count`` values exceeds word_budget()."""
+    budget = word_budget()
+    if count > budget:
+        raise BudgetExceededError(f"{count} values exceed budget {budget}")
+
+
+def spaced_indices(start: int, stride: int, count: int) -> np.ndarray:
+    """int64 array of start + n*stride for n = 0..count-1, budget-checked.
+
+    Raises ValueError when an index would reach 2**63, which int64
+    cannot hold, instead of letting it wrap around.
+    """
+    check_budget(count)
+    last = start + stride * max(count - 1, 0)
+    if max(start, last) >= 2**63:
+        raise ValueError(f"index {max(start, last)} reaches 2**63, beyond int64 indices")
+    return start + stride * np.arange(count, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class KappaSpec:
     """Finite description of kappa: {1..k-1} x N -> Z_L.
@@ -50,6 +72,10 @@ class KappaSpec:
     ``preperiod + (y - preperiod) % period``.  A finite-window spec has
     ``period=None`` and exactly ``window`` columns; queries at
     y >= window raise WindowExceededError, never extend silently.
+
+    The declared (preperiod, period) need not be minimal; columns are
+    looked up through ``normal_form``, the minimal pair, and
+    ``canonical_column``, so equal column streams share one index.
     """
 
     L: int
@@ -93,20 +119,51 @@ class KappaSpec:
     def column_count(self) -> int:
         return self.window if self.is_finite_window else self.preperiod + self.period
 
+    @cached_property
+    def normal_form(self) -> tuple[int, int] | None:
+        """Minimal (preperiod, period) of the column stream kappa(., y).
+
+        None for a finite-window spec, which claims no eventual period.
+        The minimal period divides the declared one; the preperiod then
+        shrinks while the column just before it repeats one period on.
+        """
+        if self.is_finite_window:
+            return None
+        cols = list(zip(*self.table))
+        pre, p = self.preperiod, self.period
+        period = next(
+            d for d in range(1, p + 1)
+            if p % d == 0 and all(cols[pre + i] == cols[pre + i % d] for i in range(p))
+        )
+        while pre and cols[pre - 1] == cols[pre - 1 + period]:
+            pre -= 1
+        return pre, period
+
+    def canonical_column(self, y: int) -> int:
+        """Representative of column y in [0, y0 + p) of the normal form (y0, p).
+
+        The column streams kappa(., y + t) and kappa(., canonical + t),
+        t >= 0, are equal, and two distinct representatives always have
+        distinct streams: if the streams from e1 < e2 agreed, the stream
+        would be purely periodic from e1 with period e2 - e1, so e1 >= y0
+        and p would divide e2 - e1 < p.  A finite-window spec has no
+        period, so every y represents itself.
+        """
+        form = self.normal_form
+        if form is None or y < form[0]:
+            return y
+        return form[0] + (y - form[0]) % form[1]
+
     def kappa(self, s: int, y: int) -> int:
         if not 1 <= s <= self.k - 1:
             raise ValueError(f"s must lie in [1, {self.k - 1}], got {s}")
         if y < 0:
             raise ValueError(f"y must be >= 0, got {y}")
-        if self.is_finite_window:
-            if y >= self.window:
-                raise WindowExceededError(
-                    f"kappa queried at y={y} but window bound is {self.window}"
-                )
-            return self.table[s - 1][y]
-        if y >= self.preperiod:
-            y = self.preperiod + (y - self.preperiod) % self.period
-        return self.table[s - 1][y]
+        if self.is_finite_window and y >= self.window:
+            raise WindowExceededError(
+                f"kappa queried at y={y} but window bound is {self.window}"
+            )
+        return self.table[s - 1][self.canonical_column(y)]
 
     def column(self, y: int) -> tuple[int, ...]:
         """kappa(., y) as a tuple over s = 1..k-1."""
@@ -147,15 +204,6 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
     return total % spec.L
 
 
-def b_exponent(spec: KappaSpec, n: int) -> int:
-    """Exponent c of the multiplicative value exp(2*pi*i*c/L).
-
-    Identical to a_of_n; exists as a named view because the analytic side
-    works with roots of unity.
-    """
-    return a_of_n(spec, n)
-
-
 def a_values(spec: KappaSpec, indices) -> np.ndarray:
     """Vectorized a_of_n over an array of non-negative indices."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -171,11 +219,12 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     k, L = spec.k, spec.L
     rem = idx.copy()
     acc = np.zeros(idx.shape, dtype=np.int64)
+    col = np.zeros(k, dtype=np.int64)
     y = 0
     while rem.any():
-        col = np.zeros(k, dtype=np.int64)
-        for s in range(1, k):
-            col[s] = spec.kappa(s, y)
+        # The bound check above keeps y inside a finite window.
+        c = spec.canonical_column(y)
+        col[1:] = [row[c] for row in spec.table]
         acc += col[rem % k]
         rem //= k
         y += 1
@@ -195,10 +244,7 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
         raise WindowExceededError(
             f"morphic prefix needs kappa columns up to {m - 1}, window is {spec.window}"
         )
-    if spec.k**m > word_budget():
-        raise BudgetExceededError(
-            f"word of length {spec.k**m} exceeds budget {word_budget()}"
-        )
+    check_budget(spec.k**m)
     L = spec.L
     word = [0]
     for step in range(m):
@@ -217,6 +263,5 @@ def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> Sequ
     """Window of a(start + n*stride) for n = 0..count-1."""
     if start < 0 or stride < 1 or count < 0:
         raise ValueError("need start >= 0, stride >= 1, count >= 0")
-    idx = start + stride * np.arange(count, dtype=np.int64)
-    vals = a_values(spec, idx)
+    vals = a_values(spec, spaced_indices(start, stride, count))
     return SequenceWindow(spec=spec, start=start, stride=stride, values=tuple(int(v) for v in vals))

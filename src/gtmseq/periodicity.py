@@ -23,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .kappa import KappaSpec, a_values
+from .kappa import KappaSpec, a_values, spaced_indices
 
 __all__ = [
     "PeriodicityVerdict",
@@ -91,17 +91,10 @@ def power_residue_cycle(k: int, L: int) -> tuple[int, int]:
     return seen[v], y - seen[v]
 
 
-def _shift_condition_fails(spec: KappaSpec, A: int) -> tuple[int, int] | None:
-    """First (s, y) with kappa(s, A+y) != kappa(1, A)*s*k**y mod L, or None.
-
-    Comparing up to max(preperiods) + lcm(periods) decides equality of
-    the two eventually periodic column streams for all y.
-    """
+def _shift_condition_fails(spec: KappaSpec, A: int, horizon: int) -> tuple[int, int] | None:
+    """First (s, y) with kappa(s, A+y) != kappa(1, A)*s*k**y mod L, or None."""
     L, k = spec.L, spec.k
     c = spec.kappa(1, A)
-    lhs_pre = max(0, spec.preperiod - A)
-    rhs_pre, rhs_cyc = power_residue_cycle(k, L)
-    horizon = max(lhs_pre, rhs_pre) + lcm(spec.period, rhs_cyc)
     for y in range(horizon):
         ky = pow(k, y, L)
         for s in range(1, k):
@@ -119,23 +112,22 @@ def classify(spec: KappaSpec) -> PeriodicityVerdict:
     """
     if spec.is_finite_window:
         return PeriodicityVerdict(status=UNKNOWN, bound=spec.window)
+    rhs_pre, rhs_cyc = power_residue_cycle(spec.k, spec.L)
     refutations = []
     for A in range(spec.preperiod + spec.period):
-        failure = _shift_condition_fails(spec, A)
+        # Both sides are eventually periodic in y, so comparing up to
+        # max(preperiods) + lcm(periods) decides equality for all y.
+        horizon = max(spec.preperiod - A, rhs_pre) + lcm(spec.period, rhs_cyc)
+        failure = _shift_condition_fails(spec, A, horizon)
         if failure is None:
             return PeriodicityVerdict(
                 status=PERIODIC,
                 shift=A,
                 period=spec.L * spec.k**A,
-                checked_window=A + _condition_horizon(spec, A),
+                checked_window=A + horizon,
             )
         refutations.append((A, failure[0], failure[1]))
     return PeriodicityVerdict(status=NON_PERIODIC, refutations=tuple(refutations))
-
-
-def _condition_horizon(spec: KappaSpec, A: int) -> int:
-    rhs_pre, rhs_cyc = power_residue_cycle(spec.k, spec.L)
-    return max(max(0, spec.preperiod - A), rhs_pre) + lcm(spec.period, rhs_cyc)
 
 
 def classify_constant(L: int, k: int, kvec) -> PeriodicityVerdict:
@@ -205,8 +197,7 @@ def aenp_scan(
     hits = []
     for stride in range(1, max_stride + 1):
         for start in range(max_start + 1):
-            idx = start + stride * np.arange(horizon, dtype=np.int64)
-            window = a_values(spec, idx)
+            window = a_values(spec, spaced_indices(start, stride, horizon))
             found = brute_force_period(window, max_preperiod, max_period)
             if found is not None:
                 hits.append(

@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import SpecParseError
 from .kappa import KappaSpec
 
-__all__ = ["parse_spec", "parse_spec_text", "spec_to_text", "load_spec"]
+__all__ = ["parse_spec", "parse_spec_text", "spec_to_text"]
 
 _INT_KEYS = {"L", "k", "preperiod", "period", "window"}
 
@@ -89,9 +89,6 @@ def parse_spec_text(text: str) -> KappaSpec:
 
 def parse_spec(path) -> KappaSpec:
     return parse_spec_text(Path(path).read_text())
-
-
-load_spec = parse_spec
 
 
 def spec_to_text(spec: KappaSpec) -> str:

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-import numpy as np
-
 from .errors import MTooSmallError, PeriodicSpecError
-from .kappa import KappaSpec, SequenceWindow, a_of_n, a_values
+from .kappa import KappaSpec, SequenceWindow, a_of_n, a_values, spaced_indices
 from .periodicity import classify
 
 __all__ = [
@@ -109,7 +107,7 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     n1 = t * block
     n2 = tp * block
     total = n2 + repeat_len
-    vals = a_values(spec, N + l * np.arange(total, dtype=np.int64))
+    vals = a_values(spec, spaced_indices(N, l, total))
     vals = tuple(int(v) for v in vals)
 
     U = vals[:n1]

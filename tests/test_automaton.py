@@ -66,6 +66,34 @@ class TestKernelExplore:
                     state = result.transitions[state][d]
                 assert result.outputs[state] == a_of_n(spec, n)
 
+    def test_non_minimal_declaration_same_automaton(self, rng):
+        # the same sequences declared with an extra preperiod and a
+        # repeated period block explore to the same automaton
+        for _ in range(20):
+            spec = random_spec(rng, L_max=4, k_max=4, y0_max=2, p_max=3)
+            pre = spec.preperiod + rng.randint(1, 3)
+            period = spec.period * rng.randint(2, 3)
+            columns = [spec.column(y) for y in range(pre + period)]
+            padded = KappaSpec(
+                L=spec.L, k=spec.k, preperiod=pre, period=period,
+                table=tuple(tuple(col[s] for col in columns) for s in range(spec.k - 1)),
+            )
+            minimal, explored = kernel_explore(spec), kernel_explore(padded)
+            assert explored.complete
+            assert len(explored) == len(minimal)
+            assert explored.transitions == minimal.transitions
+            assert explored.outputs == minimal.outputs
+            # distinct canonical shifts have distinct column streams; both
+            # streams are periodic with the declared period from y = pre on
+            y0, p = padded.normal_form
+            streams = {
+                tuple(padded.column(e + y) for y in range(pre + period))
+                for e in range(y0 + p)
+            }
+            assert len(streams) == y0 + p
+            for state in explored.states:
+                assert padded.canonical_column(state.shift) == state.shift
+
     def test_max_states_inconclusive(self, tm):
         result = kernel_explore(tm, max_states=1)
         assert not result.complete
@@ -92,6 +120,25 @@ class TestIsNPeriodic:
     def test_nontrivial_preperiod(self):
         spec = KappaSpec(L=3, k=2, preperiod=2, period=2, table=((2, 0, 1, 1),))
         assert is_n_periodic(spec) == (2, 1)
+
+    def test_reduces_declared_preperiod(self):
+        spec = KappaSpec(L=2, k=2, preperiod=2, period=1, table=((1, 1, 1),))
+        assert is_n_periodic(spec) == (0, 1)
+
+    def test_reduces_preperiod_into_rotated_period(self):
+        # 1, 0, 1, 0, ...: the declared preperiod column starts the cycle
+        spec = KappaSpec(L=2, k=2, preperiod=1, period=2, table=((1, 0, 1),))
+        assert is_n_periodic(spec) == (0, 2)
+
+    def test_reduces_both_partially(self):
+        # 2, 0, 1, 0, 1, ...: one column of preperiod is genuine
+        spec = KappaSpec(L=3, k=2, preperiod=3, period=4, table=((2, 0, 1, 0, 1, 0, 1),))
+        assert is_n_periodic(spec) == (1, 2)
+
+    def test_multirow_columns_compared_whole(self):
+        # row 1 alone would reduce to (0, 1); row 2 keeps the preperiod
+        spec = KappaSpec(L=2, k=3, preperiod=1, period=1, table=((1, 1), (0, 1)))
+        assert is_n_periodic(spec) == (1, 1)
 
 
 class TestKernelBruteForce:

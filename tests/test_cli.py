@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from gtmseq.cli import main
 
 
@@ -185,3 +187,34 @@ class TestErrors:
         code, _, err = run(capsys, "gen", TM, "--count", "64", "--mode", "morphic")
         assert code == 5
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", TM, "--count", "5000"),
+        ("cf", TM, "0", "1", "--depth", "5000"),
+        ("stammer", TM, "0", "1", "14"),
+    ])
+    def test_every_window_budgeted(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+
+    def test_index_beyond_int64(self, capsys):
+        half = str(2**62)
+        code, out, err = run(capsys, "gen", TM, "--N", half, "--l", half, "--count", "3")
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
+
+    def test_huge_integer_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "eval", TM, str(2**63), "1", "--beta", "2")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_unfactorable_k_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gap", "5", str(2**61 - 1), "4")
+        assert code == 2
+        assert out == ""
+        assert "trial division" in err

@@ -6,7 +6,6 @@ from gtmseq import (
     WindowExceededError,
     a_of_n,
     a_values,
-    b_exponent,
     equally_spaced,
     expand,
     generate_prefix_morphic,
@@ -57,14 +56,6 @@ class TestAOfN:
                     continue
                 pairs += 1
                 assert a_of_n(spec, n + m) == (a_of_n(spec, n) + a_of_n(spec, m)) % spec.L
-
-    def test_b_exponent_identical(self, tm, rng):
-        for _ in range(200):
-            n = rng.randrange(10**5)
-            assert b_exponent(tm, n) == a_of_n(tm, n)
-        spec = random_spec(rng)
-        for n in range(300):
-            assert b_exponent(spec, n) == a_of_n(spec, n)
 
 
 class TestMorphic:
