@@ -110,8 +110,6 @@ def eval_series(
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if N < 0 or l < 1:
-        raise ValueError("need N >= 0 and l >= 1")
     T = _digits_exponent(beta, digits)
     vals = a_values(spec, spaced_indices(N, l, T))
     numerator = 0

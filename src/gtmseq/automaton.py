@@ -140,16 +140,23 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     """Materialize all kernel subsequences a(k**e * n + j) to length horizon.
 
     Groups them by exact prefix equality; the group count is a lower
-    bound on the kernel size.  Returns {prefix: [(e, j), ...]}.
+    bound on the kernel size.  Returns {prefix: [(e, j), ...]} with
+    prefixes as tuples of ints, in first-seen order (e, then j).
+
+    One digit-route word a(0 .. k**e_max * horizon - 1) holds them all:
+    for n < horizon and j < k**e the index k**e * n + j runs over the
+    first k**e * horizon indices in row-major order, so column j of that
+    prefix read as a (horizon, k**e) matrix is the subsequence (e, j).
     """
     if e_max < 0 or horizon < 1:
         raise ValueError("need e_max >= 0 and horizon >= 1")
-    check_budget(spec.k**e_max * horizon)
+    size = spec.k**e_max * horizon
+    check_budget(size)
+    word = a_values(spec, np.arange(size, dtype=np.int64))
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    base = np.arange(horizon, dtype=np.int64)
     for e in range(e_max + 1):
         scale = spec.k**e
-        for j in range(scale):
-            prefix = tuple(int(v) for v in a_values(spec, scale * base + j))
-            groups.setdefault(prefix, []).append((e, j))
+        columns = word[: scale * horizon].reshape(horizon, scale).T
+        for j, column in enumerate(columns):
+            groups.setdefault(tuple(column.tolist()), []).append((e, j))
     return groups

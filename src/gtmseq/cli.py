@@ -28,7 +28,7 @@ from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
 from .errors import GtmseqError
 from .expansion import gap_multiple
-from .kappa import equally_spaced, generate_prefix_morphic
+from .kappa import equally_spaced, generate_prefix_morphic, spaced_indices
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
@@ -68,12 +68,12 @@ def _cmd_gen(args) -> int:
     count, start, stride = args.count, args.N, args.l
 
     def morphic_values():
-        need = start + max(count - 1, 0) * stride + 1
+        indices = spaced_indices(start, stride, count).tolist()
         m = 0
-        while spec.k**m < need:
+        while spec.k**m <= max(indices, default=start):
             m += 1
         word = generate_prefix_morphic(spec, m)
-        return [word[start + n * stride] for n in range(count)]
+        return [word[i] for i in indices]
 
     if args.mode == "digit":
         values = list(equally_spaced(spec, start, stride, count).values)

@@ -53,13 +53,19 @@ def check_budget(count: int) -> None:
 def spaced_indices(start: int, stride: int, count: int) -> np.ndarray:
     """int64 array of start + n*stride for n = 0..count-1, budget-checked.
 
-    Raises ValueError when an index would reach 2**63, which int64
-    cannot hold, instead of letting it wrap around.
+    Raises ValueError unless start >= 0, stride >= 1 and count >= 0, and
+    when an index would reach 2**63, which int64 cannot hold, instead of
+    letting it wrap around.  With count <= 1 the stride reaches no index,
+    so any stride is accepted.
     """
+    if start < 0 or stride < 1 or count < 0:
+        raise ValueError("need start >= 0, stride >= 1, count >= 0")
     check_budget(count)
-    last = start + stride * max(count - 1, 0)
-    if max(start, last) >= 2**63:
-        raise ValueError(f"index {max(start, last)} reaches 2**63, beyond int64 indices")
+    if count <= 1:
+        stride = 0
+    last = start + stride * (count - 1)
+    if last >= 2**63:
+        raise ValueError(f"index {last} reaches 2**63, beyond int64 indices")
     return start + stride * np.arange(count, dtype=np.int64)
 
 
@@ -115,9 +121,6 @@ class KappaSpec:
     @property
     def is_finite_window(self) -> bool:
         return self.period is None
-
-    def column_count(self) -> int:
-        return self.window if self.is_finite_window else self.preperiod + self.period
 
     @cached_property
     def normal_form(self) -> tuple[int, int] | None:
@@ -211,22 +214,24 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if idx.min() < 0:
         raise ValueError("indices must be >= 0")
+    top = int(idx.max())
     bound = spec._max_queryable_index()
-    if bound is not None and idx.max() >= bound:
-        raise WindowExceededError(
-            f"index {int(idx.max())} needs digits beyond window {spec.window}"
-        )
+    if bound is not None and top >= bound:
+        raise WindowExceededError(f"index {top} needs digits beyond window {spec.window}")
     k, L = spec.k, spec.L
     rem = idx.copy()
+    digit = np.empty_like(rem)
     acc = np.zeros(idx.shape, dtype=np.int64)
     col = np.zeros(k, dtype=np.int64)
     y = 0
-    while rem.any():
-        # The bound check above keeps y inside a finite window.
+    while top:
+        # One pass per digit of the largest index; the bound check above
+        # keeps y inside a finite window.
         c = spec.canonical_column(y)
         col[1:] = [row[c] for row in spec.table]
-        acc += col[rem % k]
-        rem //= k
+        np.divmod(rem, k, out=(rem, digit))
+        acc += col[digit]
+        top //= k
         y += 1
     return acc % L
 
@@ -261,7 +266,5 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
 
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:
     """Window of a(start + n*stride) for n = 0..count-1."""
-    if start < 0 or stride < 1 or count < 0:
-        raise ValueError("need start >= 0, stride >= 1, count >= 0")
     vals = a_values(spec, spaced_indices(start, stride, count))
     return SequenceWindow(spec=spec, start=start, stride=stride, values=tuple(int(v) for v in vals))

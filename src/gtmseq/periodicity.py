@@ -11,9 +11,9 @@ candidate A is decided by comparing finitely many columns, and A itself
 only needs to range over [0, y0 + p): for A >= y0 the left side depends
 on A through (A - y0) mod p alone, and so does kappa(1, A).
 
-The module also carries the window-scan oracles: a literal least-period
-search on a finite word and the grid scan over equally spaced
-subsequences.
+The module also carries the window-scan oracles: a least-period search
+on a finite word (one Knuth-Morris-Pratt border pass) and the grid scan
+over equally spaced subsequences.
 """
 
 from __future__ import annotations
@@ -151,8 +151,34 @@ def classify_constant(L: int, k: int, kvec) -> PeriodicityVerdict:
     return PeriodicityVerdict(status=PERIODIC, shift=0, period=L, checked_window=1)
 
 
+def _least_period(word: list) -> int:
+    """Least p >= 1 with word[i] == word[i + p] wherever both exist.
+
+    That is len(word) minus its longest proper border, read off the
+    Knuth-Morris-Pratt failure function.
+    """
+    fail = [0] * len(word)
+    border = 0
+    for i in range(1, len(word)):
+        c = word[i]
+        while border and word[border] != c:
+            border = fail[border - 1]
+        if word[border] == c:
+            border += 1
+        fail[i] = border
+    return max(len(word) - border, 1)
+
+
 def brute_force_period(values, max_preperiod: int, max_period: int):
     """Least (l, then N) with values[n] == values[n+l] for all N <= n < len-l.
+
+    Only 1 <= l <= max_period and 0 <= N <= max(max_preperiod, 0) count.
+    An l qualifies exactly when the suffix u from max(max_preperiod, 0)
+    has period l, so the answer's l is u's least period.  If that is at
+    most max_period, it is also the least period of u's first
+    2*max_period values (by Fine and Wilf, two periods p <= q of that
+    prefix have gcd(p, q) as a period, which then divides q), so it is
+    found there and confirmed on all of values with the pass that gives N.
 
     A window verdict only: ``None`` means no period up to the bounds, not
     a proof of aperiodicity.
@@ -164,15 +190,13 @@ def brute_force_period(values, max_preperiod: int, max_period: int):
             f"need at least max_preperiod + 2*max_period = "
             f"{max_preperiod + 2 * max_period} values, got {n}"
         )
-    for l in range(1, max_period + 1):
-        diff = arr[l:] != arr[:-l]
-        mismatches = np.nonzero(diff)[0]
-        if mismatches.size == 0:
-            return 0, l
-        start = int(mismatches[-1]) + 1
-        if start <= max_preperiod:
-            return start, l
-    return None
+    first = max(max_preperiod, 0)
+    l = _least_period(arr[first : first + 2 * max_period].tolist())
+    if l > max_period:
+        return None
+    mismatches = np.nonzero(arr[l:] != arr[:-l])[0]
+    start = int(mismatches[-1]) + 1 if mismatches.size else 0
+    return (start, l) if start <= first else None
 
 
 def aenp_scan(

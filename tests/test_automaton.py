@@ -9,6 +9,7 @@ from gtmseq import (
     kernel_brute_force,
     kernel_explore,
 )
+from gtmseq.errors import WindowExceededError
 from conftest import alternating_spec, random_spec, zero_spec
 
 
@@ -195,3 +196,54 @@ class TestKernelBruteForce:
 
         with pytest.raises(BudgetExceededError):
             kernel_brute_force(tm, 10, 1024)
+
+
+def brute_force_definition(spec, e_max, horizon):
+    """{prefix: [(e, j), ...]} built subsequence by subsequence from a_of_n."""
+    groups = {}
+    for e in range(e_max + 1):
+        scale = spec.k**e
+        for j in range(scale):
+            prefix = tuple(a_of_n(spec, scale * n + j) for n in range(horizon))
+            groups.setdefault(prefix, []).append((e, j))
+    return groups
+
+
+def redeclared(spec, rng):
+    """The same spec declared with a longer preperiod and a repeated period."""
+    pre = spec.preperiod + rng.randint(0, 2)
+    period = spec.period * rng.randint(1, 3)
+    columns = [spec.column(y) for y in range(pre + period)]
+    return KappaSpec(
+        L=spec.L, k=spec.k, preperiod=pre, period=period,
+        table=tuple(tuple(col[s] for col in columns) for s in range(spec.k - 1)),
+    )
+
+
+class TestKernelBruteForceDefinition:
+    def test_matches_definition(self, rng):
+        e_limit = {2: 5, 3: 4, 4: 3, 5: 3}
+        for trial in range(24):
+            spec = random_spec(rng, L_max=4, k_max=5, y0_max=2, p_max=3)
+            if trial % 2:
+                spec = redeclared(spec, rng)
+            e_max = rng.randint(0, e_limit[spec.k])
+            horizon = rng.randint(1, 40)
+            got = kernel_brute_force(spec, e_max, horizon)
+            want = brute_force_definition(spec, e_max, horizon)
+            assert list(got.items()) == list(want.items())
+            for prefix, members in got.items():
+                assert type(prefix) is tuple and len(prefix) == horizon
+                assert all(type(v) is int for v in prefix)
+                assert all(type(e) is int and type(j) is int for e, j in members)
+
+    def test_finite_window(self):
+        spec = KappaSpec(L=3, k=3, preperiod=0, period=None,
+                         table=((1, 2, 0), (2, 0, 1)), window=3)
+        # k**e_max * horizon = 27 indices: exactly the window
+        got = kernel_brute_force(spec, 2, 3)
+        assert list(got.items()) == list(brute_force_definition(spec, 2, 3).items())
+        with pytest.raises(WindowExceededError):
+            kernel_brute_force(spec, 2, 4)
+        with pytest.raises(WindowExceededError):
+            kernel_brute_force(spec, 3, 2)

@@ -218,3 +218,22 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "trial division" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", TM, "5", "-1", "--depth", "4"),
+        ("gen", TM, "--mode", "morphic", "--l", "-1", "--count", "3"),
+        ("gen", TM, "--mode", "morphic", "--l", "-1", "--count", "2"),
+    ])
+    def test_negative_stride_is_usage_error(self, capsys, argv):
+        # a decreasing run a(5), a(4), ... is no subsequence a(N + n*l)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "stride >= 1" in err
+        assert "Traceback" not in err
+
+    def test_single_value_ignores_huge_stride(self, capsys):
+        code, out, err = run(capsys, "gen", TM, "--count", "1", "--l", str(2**65))
+        assert code == 0
+        assert "error" not in err
+        assert out == run(capsys, "gen", TM, "--count", "1", "--l", "1")[1]

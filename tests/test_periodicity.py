@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtmseq import KappaSpec, a_values
 from gtmseq.periodicity import (
@@ -167,3 +168,72 @@ def test_verdict_record_shapes(tm):
     assert all(len(r) == 3 for r in rec["refutations"])
     rec = classify(zero_spec()).to_record()
     assert set(rec) == {"status", "A", "period", "checked_window"}
+
+
+def literal_period(values, max_preperiod, max_period):
+    """The docstring's definition of brute_force_period, read literally."""
+    n = len(values)
+    if n < max_preperiod + 2 * max_period:
+        raise ValueError("too short")
+    for l in range(1, max_period + 1):
+        for N in range(max(max_preperiod, 0) + 1):
+            if all(values[i] == values[i + l] for i in range(N, n - l)):
+                return N, l
+    return None
+
+
+@st.composite
+def period_cases(draw):
+    """Short, constant and eventually periodic words with bounds around them."""
+    kind = draw(st.sampled_from(["random", "constant", "eventual"]))
+    size = draw(st.integers(0, 40))
+    if kind == "random":
+        values = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    elif kind == "constant":
+        values = [draw(st.integers(0, 3))] * size
+    else:
+        head = draw(st.lists(st.integers(0, 2), max_size=6))
+        block = draw(st.lists(st.integers(0, 2), min_size=1, max_size=6))
+        values = (head + block * size)[:size]
+    max_preperiod = draw(st.integers(-3, 12))
+    max_period = draw(st.integers(-2, 14))
+    return values, max_preperiod, max_period
+
+
+class TestBruteForcePeriodDefinition:
+    @settings(max_examples=400, deadline=None)
+    @given(period_cases())
+    def test_matches_literal_definition(self, case):
+        values, max_preperiod, max_period = case
+        try:
+            want = literal_period(values, max_preperiod, max_period)
+        except ValueError:
+            with pytest.raises(ValueError):
+                brute_force_period(values, max_preperiod, max_period)
+            return
+        assert brute_force_period(values, max_preperiod, max_period) == want
+        assert brute_force_period(np.array(values, dtype=np.int64),
+                                  max_preperiod, max_period) == want
+
+    def test_every_short_binary_word(self):
+        # exhaustive over words of length <= 10, where every border
+        # fallback of the least-period computation occurs
+        for n in range(11):
+            for word in itertools.product((0, 1), repeat=n):
+                for max_preperiod, max_period in (
+                    (-1, (n + 1) // 2), (0, n // 2), (2, (n - 2) // 2), (1, (n - 1) // 3)
+                ):
+                    assert brute_force_period(word, max_preperiod, max_period) == (
+                        literal_period(word, max_preperiod, max_period)
+                    ), (word, max_preperiod, max_period)
+
+    def test_edge_bounds(self):
+        word = [0, 1, 1] + [2, 0] * 10
+        assert brute_force_period(word, 4, 0) is None
+        assert brute_force_period(word, 4, -1) is None
+        assert brute_force_period(word, -1, 5) is None
+        # a negative preperiod bound admits N = 0 only
+        assert brute_force_period([2, 0] * 10, -1, 5) == (0, 2)
+        assert brute_force_period([], -4, 1) == (0, 1)
+        with pytest.raises(ValueError):
+            brute_force_period(word, 20, 2)
