@@ -4,9 +4,9 @@ fractions, and irrationality-exponent estimation.
 Rationals are ``fractions.Fraction`` throughout; series values are
 returned as exact enclosing intervals, never rounded decimals.  The
 truncated generating-function product keeps root-of-unity coefficients
-as exponents mod L, and the expansion structurally asserts that no
-coefficient ever receives two contributions (uniqueness of the base-k
-expansion).
+as exponents mod L, read off the substitution word, and checks that the
+blocks its factors fill tile the index range once (uniqueness of the
+base-k expansion).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kappa import KappaSpec, a_values, check_budget, spaced_indices
+from .kappa import KappaSpec, a_values, generate_prefix_morphic, spaced_indices
 
 __all__ = [
     "TruncatedProductSeries",
@@ -65,28 +65,19 @@ class ConvergentList:
 
 
 def product_coefficients(spec: KappaSpec, Y: int) -> TruncatedProductSeries:
-    """Expand the truncated infinite product symbolically over exponents."""
+    """Expand the truncated infinite product symbolically over exponents.
+
+    The coefficients are the word ``generate_prefix_morphic(spec, Y + 1)``:
+    factor y fills the blocks s*k**y + [0, k**y), s = 1..k-1, which with
+    {0} tile [0, k**(Y+1)) once each, so no coefficient gets two
+    contributions exactly when the word has k**(Y+1) letters.
+    """
     if Y < 0:
         raise ValueError(f"Y must be >= 0, got {Y}")
-    k, L = spec.k, spec.L
-    size = k ** (Y + 1)
-    check_budget(size)
-    coeffs: list[int | None] = [None] * size
-    coeffs[0] = 0
-    for y in range(Y + 1):
-        base = k**y
-        for s in range(1, k):
-            shift = spec.kappa(s, y)
-            offset = s * base
-            for n in range(base):
-                target = offset + n
-                if coeffs[target] is not None:
-                    raise AssertionError(
-                        f"coefficient {target} produced twice; expansion not unique"
-                    )
-                coeffs[target] = (coeffs[n] + shift) % L
-    assert all(c is not None for c in coeffs)
-    return TruncatedProductSeries(L=L, k=k, Y=Y, exponents=tuple(coeffs))
+    word = generate_prefix_morphic(spec, Y + 1)
+    if len(word) != spec.k ** (Y + 1):
+        raise AssertionError(f"{len(word)} coefficients do not tile [0, k**{Y + 1})")
+    return TruncatedProductSeries(L=spec.L, k=spec.k, Y=Y, exponents=tuple(word))
 
 
 def _digits_exponent(beta: int, digits: int) -> int:

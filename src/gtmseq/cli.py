@@ -6,7 +6,8 @@ byte-identical output).  Exit codes:
 
     0  success
     2  spec-file parse error / bad usage, including integers out of range
-       (an index reaching 2**63) and a base k too hard to factor
+       (an index reaching 2**63, a modulus L above 2**57) and a base k
+       too hard to factor
     3  operation refused because the sequence is (or may be) periodic
     4  finite-window spec queried beyond its window
     5  memory budget exceeded: every word, window or index array is
@@ -37,8 +38,8 @@ EXIT_USAGE = 2
 
 _EPILOG = """\
 exit codes:
-  0 success; 2 parse error or bad usage (also out-of-range integers and
-  an unfactorable k); 3 periodic-refusal; 4 window-exceeded;
+  0 success; 2 parse error or bad usage (also out-of-range integers,
+  L > 2**57 and an unfactorable k); 3 periodic-refusal; 4 window-exceeded;
   5 budget-exceeded (every allocation is checked against GTMSEQ_BUDGET;
   set it to raise the memory budget); 6 stammering index below minimum
 """
@@ -70,7 +71,7 @@ def _cmd_gen(args) -> int:
     def morphic_values():
         indices = spaced_indices(start, stride, count).tolist()
         m = 0
-        while spec.k**m <= max(indices, default=start):
+        while spec.k**m <= max(indices, default=0):
             m += 1
         word = generate_prefix_morphic(spec, m)
         return [word[i] for i in indices]

@@ -71,7 +71,7 @@ def spaced_indices(start: int, stride: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KappaSpec:
-    """Finite description of kappa: {1..k-1} x N -> Z_L.
+    """Finite description of kappa: {1..k-1} x N -> Z_L, 2 <= L <= 2**57.
 
     ``table`` has k-1 rows (s = 1..k-1) and ``preperiod + period``
     columns; column y for y >= preperiod is read from
@@ -93,8 +93,9 @@ class KappaSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError(f"L must be >= 2, got {self.L}")
+        # a_values sums up to 63 letters below L in int64: 63*(L-1) < 2**63
+        if not 2 <= self.L <= 2**57:
+            raise ValueError(f"L must lie in [2, 2**57], got {self.L}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if len(self.table) != self.k - 1:
@@ -239,9 +240,9 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
 def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
     """Prefix of length k**m by word substitution.
 
-    Starts from [0]; each step appends, for s = 1..k-1, the current word
-    with kappa(s, step) added to every letter mod L.  Iterative, not
-    recursive, so memory is a single word of the final length.
+    Starts from [0]; step y replaces the word w by the k blocks
+    w + kappa(s, y) mod L, s = 0..k-1 with kappa(0, y) = 0.  The one
+    substitution kernel: ``product_coefficients`` is its coefficient view.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -250,18 +251,10 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
             f"morphic prefix needs kappa columns up to {m - 1}, window is {spec.window}"
         )
     check_budget(spec.k**m)
-    L = spec.L
-    word = [0]
-    for step in range(m):
-        base = word
-        word = list(base)
-        for s in range(1, spec.k):
-            shift = spec.kappa(s, step)
-            if shift == 0:
-                word.extend(base)
-            else:
-                word.extend((c + shift) % L for c in base)
-    return word
+    word = np.zeros(1, dtype=np.int64)
+    for y in range(m):
+        word = (np.add.outer((0,) + spec.column(y), word) % spec.L).ravel()
+    return word.tolist()
 
 
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:

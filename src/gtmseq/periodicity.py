@@ -23,7 +23,8 @@ from math import lcm
 
 import numpy as np
 
-from .kappa import KappaSpec, a_values, spaced_indices
+from .errors import BudgetExceededError
+from .kappa import KappaSpec, a_values, spaced_indices, word_budget
 
 __all__ = [
     "PeriodicityVerdict",
@@ -80,11 +81,17 @@ class PeriodicityVerdict:
 
 
 def power_residue_cycle(k: int, L: int) -> tuple[int, int]:
-    """(preperiod, cycle length) of the sequence k**y mod L."""
+    """(preperiod, cycle length) of the sequence k**y mod L.
+
+    Raises BudgetExceededError before storing more than word_budget() residues.
+    """
+    budget = word_budget()
     seen: dict[int, int] = {}
     v = 1 % L
     y = 0
     while v not in seen:
+        if y >= budget:
+            raise BudgetExceededError(f"powers of {k} mod {L} exceed budget {budget}")
         seen[v] = y
         v = (v * k) % L
         y += 1

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import MTooSmallError, PeriodicSpecError
-from .kappa import KappaSpec, SequenceWindow, a_of_n, a_values, spaced_indices
+from .kappa import KappaSpec, SequenceWindow, a_of_n, a_values, check_budget, spaced_indices
 from .periodicity import classify
 
 __all__ = [
@@ -89,17 +89,19 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
         raise MTooSmallError(f"m={m} below minimum {legal} for N={N}, l={l}, k={k}")
 
     block = k**m
+    check_budget(L + 1)
     shifts = [a_of_n(spec, t * l * block) for t in range(L + 1)]
     # Deterministic pigeonhole: among collisions take smallest t'-t, then t.
+    # A least gap lies between consecutive equal shifts, so one pass that
+    # remembers the last t of each residue sees every candidate.
+    last: dict[int, int] = {}
     best = None
-    for t in range(L + 1):
-        for tp in range(t + 1, L + 1):
-            if shifts[t] == shifts[tp]:
-                key = (tp - t, t)
-                if best is None or key < best[0]:
-                    best = (key, t, tp)
+    for tp, shift in enumerate(shifts):
+        if shift in last and (best is None or tp - last[shift] < best[1] - best[0]):
+            best = (last[shift], tp)
+        last[shift] = tp
     assert best is not None, "L+1 residues mod L must collide"
-    _, t, tp = best
+    t, tp = best
 
     # Subsequence entries n = t*k**m + j read offsets N + j*l inside the
     # t-th super-block; they stay inside while N + j*l < k**m.

@@ -51,6 +51,17 @@ class TestGen:
         assert report["result"]["values"] == [0, 1, 1, 0, 1, 0, 0, 1]
         assert report["result"]["agree"] is True
 
+    @pytest.mark.parametrize("mode,expected", [
+        ("digit", "\n"), ("morphic", "\n"), ("both", " AGREE\n"),
+    ])
+    def test_count_zero_is_empty_window(self, capsys, mode, expected):
+        code, out, err = run(
+            capsys, "gen", TM, "--mode", mode, "--count", "0", "--N", str(10**12)
+        )
+        assert code == 0
+        assert out == expected
+        assert "error" not in err
+
 
 class TestClassify:
     def test_thue_morse(self, capsys):
@@ -237,3 +248,43 @@ class TestErrors:
         assert code == 0
         assert "error" not in err
         assert out == run(capsys, "gen", TM, "--count", "1", "--l", "1")[1]
+
+
+def write_spec(tmp_path, L, k, row):
+    path = tmp_path / "s.spec"
+    path.write_text(f"L = {L}\nk = {k}\npreperiod = 0\nperiod = 1\nkappa =\n{row}\n")
+    return str(path)
+
+
+class TestLimits:
+    def test_modulus_above_2_57_is_usage_error(self, tmp_path, capsys):
+        L = 3 * 2**61
+        spec = write_spec(tmp_path, L, 2, L - 1)
+        code, out, err = run(capsys, "gen", spec, "--mode", "both", "--count", "8")
+        assert code == 2
+        assert out == ""
+        assert "2**57" in err
+
+    def test_stammer_shifts_budgeted(self, tmp_path, capsys, monkeypatch):
+        # L + 1 = 1001 block shifts; the witness itself needs only 48 values
+        spec = write_spec(tmp_path, 1000, 2, 1)
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        code, out, err = run(capsys, "stammer", spec, "0", "1", "4")
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1001")
+        assert run(capsys, "stammer", spec, "0", "1", "4")[0] == 0
+
+    def test_power_residue_cycle_budgeted(self, tmp_path, capsys, monkeypatch):
+        # 2 has order 100002 mod the prime 100003
+        spec = write_spec(tmp_path, 100003, 2, 1)
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        code, out, err = run(capsys, "classify", spec)
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+        monkeypatch.delenv("GTMSEQ_BUDGET")
+        code, out, _ = run(capsys, "classify", spec)
+        assert code == 0
+        assert json.loads(out)["result"]["status"] == "NonPeriodic"

@@ -46,15 +46,17 @@ class TestAOfN:
     def test_disjoint_support_additivity(self, rng):
         for _ in range(10):
             spec = random_spec(rng)
-            pairs = 0
-            while pairs < 40:
+            for _ in range(40):
+                # m gets random digits only at the positions where n has zeros
                 n = rng.randrange(10**6)
-                m = rng.randrange(10**6)
+                m = sum(
+                    rng.randrange(spec.k) * spec.k**y
+                    for y in range(len(np.base_repr(10**6, spec.k)))
+                    if n // spec.k**y % spec.k == 0
+                )
                 n_exps = {w for _, w in expand(n, spec.k).terms}
                 m_exps = {w for _, w in expand(m, spec.k).terms}
-                if n_exps & m_exps:
-                    continue
-                pairs += 1
+                assert not n_exps & m_exps
                 assert a_of_n(spec, n + m) == (a_of_n(spec, n) + a_of_n(spec, m)) % spec.L
 
 
@@ -73,6 +75,11 @@ class TestMorphic:
             m = 6 if spec.k == 2 else 4
             word = generate_prefix_morphic(spec, m)
             assert word == [a_of_n(spec, n) for n in range(spec.k**m)]
+
+    def test_letters_are_python_ints(self, rng):
+        for _ in range(4):
+            word = generate_prefix_morphic(random_spec(rng), 3)
+            assert {type(c) for c in word} == {int}
 
     def test_prefix_stability(self, rng):
         for _ in range(8):
@@ -168,3 +175,18 @@ def test_eventual_period_lookup():
     spec2 = KappaSpec(L=3, k=2, preperiod=2, period=3, table=((0, 1, 2, 0, 1),))
     for y in range(2, 30):
         assert spec2.kappa(1, y) == spec2.kappa(1, 2 + (y - 2) % 3)
+
+
+class TestModulusBound:
+    # The digit route adds up to 63 letters below L in int64.
+    def test_rejects_L_above_2_57(self):
+        L = 2**57 + 1
+        with pytest.raises(ValueError, match="2\\*\\*57"):
+            KappaSpec(L=L, k=2, preperiod=0, period=1, table=((L - 1,),))
+
+    def test_digit_route_exact_at_bound(self):
+        L = 2**57
+        spec = KappaSpec(L=L, k=2, preperiod=0, period=1, table=((L - 1,),))
+        n = 2**63 - 1
+        assert int(a_values(spec, [n])[0]) == a_of_n(spec, n) == (63 * (L - 1)) % L
+        assert generate_prefix_morphic(spec, 3) == [a_of_n(spec, i) for i in range(8)]

@@ -85,6 +85,36 @@ class TestBuildWitness:
                 assert a_of_n(tm, n + block * t * l) == (a_of_n(tm, n) + shift) % tm.L
 
 
+def pigeonhole_oracle(spec, l, m):
+    """Literal double loop: the colliding (t, t') with least t' - t, then t."""
+    block = spec.k**m
+    shifts = [a_of_n(spec, t * l * block) for t in range(spec.L + 1)]
+    best = None
+    for t in range(spec.L + 1):
+        for tp in range(t + 1, spec.L + 1):
+            if shifts[t] == shifts[tp] and (
+                best is None or (tp - t, t) < (best[1] - best[0], best[0])
+            ):
+                best = (t, tp)
+    return best
+
+
+class TestPigeonhole:
+    def test_matches_double_loop(self, rng):
+        from gtmseq import classify
+
+        built = 0
+        while built < 40:
+            spec = random_spec(rng, L_max=16, k_max=4, y0_max=2, p_max=3)
+            if not classify(spec).is_non_periodic:
+                continue
+            N, l = rng.randint(0, 3), rng.randint(1, 4)
+            m = min_legal_m(N, l, spec.k) + rng.randint(0, 1)
+            witness = build_witness(spec, N, l, m)
+            assert (witness.t, witness.t_prime) == pigeonhole_oracle(spec, l, m)
+            built += 1
+
+
 class TestVerifyWitness:
     def test_negative_control(self, tm):
         witness = build_witness(tm, 0, 1, 4)
