@@ -20,7 +20,6 @@ from .analytic import (
 from .automaton import (
     KernelResult,
     KernelState,
-    is_n_periodic,
     kernel_brute_force,
     kernel_explore,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "product_coefficients",
     "KernelResult",
     "KernelState",
-    "is_n_periodic",
     "kernel_brute_force",
     "kernel_explore",
     "BudgetExceededError",

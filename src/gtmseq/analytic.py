@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kappa import KappaSpec, a_values, generate_prefix_morphic, spaced_indices
+from .kappa import KappaSpec, a_values, check_budget, generate_prefix_morphic, spaced_indices
 
 __all__ = [
     "TruncatedProductSeries",
@@ -136,16 +136,18 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int, value_map=None) -> Conv
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     L = spec.L
-    if value_map is None:
-        value_map = lambda j: j + 1  # noqa: E731
-    images = [value_map(j) for j in range(L)]
-    if any(not isinstance(v, int) or v < 1 for v in images):
-        raise ValueError(f"value_map must send residues to positive integers: {images}")
-    if len(set(images)) != L:
-        raise ValueError(f"value_map must be injective on [0, {L - 1}]: {images}")
+    images = None
+    if value_map is not None:
+        # Only a custom map is tabulated, over all L residues.
+        check_budget(L)
+        images = [value_map(j) for j in range(L)]
+        if any(not isinstance(v, int) or v < 1 for v in images):
+            raise ValueError(f"value_map must send residues to positive integers: {images}")
+        if len(set(images)) != L:
+            raise ValueError(f"value_map must be injective on [0, {L - 1}]: {images}")
 
-    vals = a_values(spec, spaced_indices(N, l, depth))
-    quotients = [0] + [images[int(v)] for v in vals]
+    vals = a_values(spec, spaced_indices(N, l, depth)).tolist()
+    quotients = [0] + [v + 1 if images is None else images[v] for v in vals]
 
     convergents = []
     p_prev, q_prev = 1, 0

@@ -11,13 +11,20 @@ digit j refines (e, c) to (e + 1, c + kappa(j, e)) with kappa(0, .) = 0.
 For an eventually periodic spec the shift canonicalizes into
 [0, y0 + p) of the spec's normal form (minimal preperiod y0 and period
 p), so the closure is finite with at most (y0 + p) * L states.
-The literal subsequence materialization stays available as an
-independent lower-bound oracle.
+
+The closure is already the minimal DFAO.  Two distinct states (c, o)
+and (c', o') differ at n = 0 if o != o'; otherwise c != c', their
+column streams differ at some w < y0 + p (see ``canonical_column``),
+and the states differ at n = s * k**w for an s with kappa(s, w + c) !=
+kappa(s, w + c').  Digits are read least significant first and a
+trailing 0 digit never changes the output, so Moore equivalence is
+equality of the functions, and a complete closure has exactly as many
+states as the k-kernel has elements.  The literal subsequence
+materialization stays available as an independent lower-bound oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +36,6 @@ __all__ = [
     "KernelState",
     "KernelResult",
     "kernel_explore",
-    "is_n_periodic",
     "kernel_brute_force",
 ]
 
@@ -47,9 +53,10 @@ class KernelResult:
     """Kernel closure: states, per-digit transitions, and the output map.
 
     ``outputs[i]`` is the state's value at remaining index 0, which is
-    just its offset.  ``complete`` is False when exploration stopped at
-    max_states or at a finite window; that is evidence, never proof, of
-    non-automaticity.
+    just its offset.  When ``complete``, ``len`` is the exact k-kernel
+    size (the closure is minimal).  ``complete`` is False when
+    exploration stopped at max_states or at a finite window; that is
+    evidence, never proof, of non-automaticity.
     """
 
     states: tuple[KernelState, ...]
@@ -73,67 +80,42 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     """Close the kernel under the k digit-refinement maps from (0, 0).
 
     Shifts are kept as ``spec.canonical_column`` representatives, so two
-    states denote the same function exactly when they are equal.
+    states denote the same function exactly when they are equal.  The
+    closure stops, incomplete, when a new state would pass ``max_states``
+    or a finite window runs out of columns; it then keeps the states
+    added so far and the rows it finished.
     """
-    states: list[KernelState] = [KernelState(shift=spec.canonical_column(0), offset=0)]
+    states = [KernelState(shift=spec.canonical_column(0), offset=0)]
     index = {states[0]: 0}
-    transitions: list[list[int]] = []
-    queue = deque([0])
-
-    def find_or_add(candidate: KernelState) -> int | None:
-        found = index.get(candidate)
-        if found is not None:
-            return found
-        if len(states) >= max_states:
-            return None
-        index[candidate] = len(states)
-        states.append(candidate)
-        queue.append(len(states) - 1)
-        return len(states) - 1
-
-    def incomplete() -> KernelResult:
-        return KernelResult(
-            states=tuple(states),
-            transitions=tuple(tuple(r) for r in transitions),
-            outputs=tuple(s.offset for s in states),
-            complete=False,
-        )
-
-    while queue:
-        idx = queue.popleft()
-        st = states[idx]
+    transitions: list[tuple[int, ...]] = []
+    complete = True
+    for state in states:  # grows while iterated, so the order is breadth-first
+        shift = spec.canonical_column(state.shift + 1)
         row = []
         for j in range(spec.k):
             try:
-                step = spec.kappa(j, st.shift) if j else 0
+                step = spec.kappa(j, state.shift) if j else 0
             except WindowExceededError:
                 # Finite-window spec ran out of columns: inconclusive.
-                return incomplete()
-            child = KernelState(
-                shift=spec.canonical_column(st.shift + 1),
-                offset=(st.offset + step) % spec.L,
-            )
-            child_idx = find_or_add(child)
-            if child_idx is None:
-                return incomplete()
+                complete = False
+                break
+            child = KernelState(shift=shift, offset=(state.offset + step) % spec.L)
+            child_idx = index.setdefault(child, len(states))
+            if child_idx == len(states):
+                if child_idx >= max_states:
+                    complete = False
+                    break
+                states.append(child)
             row.append(child_idx)
-        transitions.append(row)
-
+        if not complete:
+            break
+        transitions.append(tuple(row))
     return KernelResult(
         states=tuple(states),
-        transitions=tuple(tuple(r) for r in transitions),
+        transitions=tuple(transitions),
         outputs=tuple(s.offset for s in states),
-        complete=True,
+        complete=complete,
     )
-
-
-def is_n_periodic(spec: KappaSpec):
-    """Minimal (preperiod, period) of the kappa column stream, or None.
-
-    This is ``spec.normal_form``: finite-window specs claim no eventual
-    period, hence None.
-    """
-    return spec.normal_form
 
 
 def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:

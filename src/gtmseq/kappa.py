@@ -173,12 +173,6 @@ class KappaSpec:
         """kappa(., y) as a tuple over s = 1..k-1."""
         return tuple(self.kappa(s, y) for s in range(1, self.k))
 
-    def _max_queryable_index(self) -> int | None:
-        """Largest n admissible for a finite-window spec (exclusive), else None."""
-        if self.is_finite_window:
-            return self.k**self.window
-        return None
-
 
 @dataclass(frozen=True)
 class SequenceWindow:
@@ -216,8 +210,7 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     if idx.min() < 0:
         raise ValueError("indices must be >= 0")
     top = int(idx.max())
-    bound = spec._max_queryable_index()
-    if bound is not None and top >= bound:
+    if spec.is_finite_window and top >= spec.k**spec.window:
         raise WindowExceededError(f"index {top} needs digits beyond window {spec.window}")
     k, L = spec.k, spec.L
     rem = idx.copy()

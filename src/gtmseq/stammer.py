@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import MTooSmallError, PeriodicSpecError
-from .kappa import KappaSpec, SequenceWindow, a_of_n, a_values, check_budget, spaced_indices
+from .kappa import KappaSpec, SequenceWindow, a_values, spaced_indices
 from .periodicity import classify
 
 __all__ = [
@@ -89,8 +89,7 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
         raise MTooSmallError(f"m={m} below minimum {legal} for N={N}, l={l}, k={k}")
 
     block = k**m
-    check_budget(L + 1)
-    shifts = [a_of_n(spec, t * l * block) for t in range(L + 1)]
+    shifts = a_values(spec, spaced_indices(0, l * block, L + 1)).tolist()
     # Deterministic pigeonhole: among collisions take smallest t'-t, then t.
     # A least gap lies between consecutive equal shifts, so one pass that
     # remembers the last t of each residue sees every candidate.

@@ -25,7 +25,6 @@ from gtmseq import (
     gap_multiple,
     gap_multiple_pair,
     generate_prefix_morphic,
-    is_n_periodic,
     kernel_brute_force,
     kernel_explore,
     min_legal_m,
@@ -255,7 +254,7 @@ def test_criterion_11_kernel(report, monkeypatch):
 
     checked = 0
     for spec in corpus():
-        if is_n_periodic(spec) is None:
+        if spec.is_finite_window:
             continue
         result = kernel_explore(spec)
         assert result.complete

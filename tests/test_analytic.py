@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gtmseq import (
+    BudgetExceededError,
     a_values,
     classify,
     eval_cf,
@@ -122,6 +124,26 @@ class TestEvalCf:
     def test_custom_value_map(self, tm):
         conv = eval_cf(tm, 0, 1, 15, value_map=lambda j: 2 * j + 1)
         assert all(a in (1, 3) for a in conv.quotients[1:])
+
+    def test_default_map_builds_no_residue_table(self, monkeypatch):
+        # L = 10**6 residues; the 5 quotients need only 5 values
+        spec = constant_spec(10**6, 2, (1,))
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        tracemalloc.start()
+        try:
+            conv = eval_cf(spec, 0, 1, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a(0..4) = popcount = 0, 1, 1, 2, 1
+        assert conv.quotients == (0, 1, 2, 2, 3, 2)
+        assert peak < 2**20
+
+    def test_custom_map_table_budgeted(self, monkeypatch):
+        spec = constant_spec(10**6, 2, (1,))
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError):
+            eval_cf(spec, 0, 1, 5, value_map=lambda j: j + 1)
 
 
 class TestIrrationalityEstimate:

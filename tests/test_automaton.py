@@ -3,9 +3,9 @@ import pytest
 
 from gtmseq import (
     KappaSpec,
+    KernelState,
     a_of_n,
     a_values,
-    is_n_periodic,
     kernel_brute_force,
     kernel_explore,
 )
@@ -13,10 +13,10 @@ from gtmseq.errors import WindowExceededError
 from conftest import alternating_spec, random_spec, zero_spec
 
 
-def state_denotation(spec, state, count):
-    """Evaluate n -> a_shift(n) + offset mod L for n < count."""
+def state_denotation(spec, state, inputs):
+    """Evaluate n -> a_shift(n) + offset mod L for each n in inputs."""
     out = []
-    for n in range(count):
+    for n in inputs:
         total = state.offset
         y = 0
         v = n
@@ -98,48 +98,107 @@ class TestKernelExplore:
     def test_max_states_inconclusive(self, tm):
         result = kernel_explore(tm, max_states=1)
         assert not result.complete
+        # the child (0, 1) of the first row would be a second state
+        assert result.states == (KernelState(0, 0),)
+        assert result.transitions == ()
+        assert result.outputs == (0,)
 
     def test_finite_window_inconclusive(self):
         spec = KappaSpec(L=2, k=2, preperiod=0, period=None,
                          table=((1, 0, 1),), window=3)
         result = kernel_explore(spec)
         assert not result.complete
+        # state 5 = (3, 0) reads past the window: its 0-child (4, 0) is
+        # kept, its row is not
+        assert result.states == tuple(
+            KernelState(shift, offset)
+            for shift, offset in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)]
+        )
+        assert result.transitions == ((1, 2), (3, 3), (4, 4), (5, 6), (6, 5))
+        assert result.outputs == (0, 0, 1, 0, 1, 0, 1, 0)
+
+
+def moore_classes(outputs, transitions):
+    """Moore partition refinement: the number of classes of equivalent states."""
+    block = list(outputs)
+    while True:
+        signatures = [
+            (block[i],) + tuple(block[t] for t in row)
+            for i, row in enumerate(transitions)
+        ]
+        renumber = {sig: n for n, sig in enumerate(dict.fromkeys(signatures))}
+        if len(renumber) == len(set(block)):
+            return len(renumber)
+        block = [renumber[sig] for sig in signatures]
+
+
+def complete_closures(rng, count):
+    """(spec, result) for random complete closures, a third declared non-minimally."""
+    for trial in range(count):
+        spec = random_spec(rng, L_max=8, k_max=5, y0_max=4, p_max=5)
+        if trial % 3 == 0:
+            spec = redeclared(spec, rng)
+        result = kernel_explore(spec)
+        assert result.complete
+        yield spec, result
+
+
+class TestMinimality:
+    def test_moore_minimal(self, rng):
+        for _, result in complete_closures(rng, 300):
+            assert moore_classes(result.outputs, result.transitions) == len(result)
+
+    def test_moore_oracle_merges(self):
+        # the Thue-Morse DFAO with a redundant copy of state 0 (state 2)
+        assert moore_classes((0, 1, 0), ((2, 1), (1, 2), (0, 1))) == 2
+
+    def test_distinct_states_separated(self, rng):
+        separated = 0
+        for spec, result in complete_closures(rng, 300):
+            y0, p = spec.normal_form
+            inputs = [0] + [s * spec.k**w for w in range(y0 + p) for s in range(1, spec.k)]
+            values = [state_denotation(spec, st, inputs) for st in result.states]
+            assert len(set(values)) == len(values)
+            separated += len(values) * (len(values) - 1) // 2
+        assert separated > 0
 
 
 class TestIsNPeriodic:
+    """The minimal (preperiod, period) of the column stream: ``normal_form``."""
+
     def test_thue_morse(self, tm):
-        assert is_n_periodic(tm) == (0, 1)
+        assert tm.normal_form == (0, 1)
 
     def test_reduces_declared_period(self):
         spec = KappaSpec(L=2, k=2, preperiod=0, period=4, table=((0, 1, 0, 1),))
-        assert is_n_periodic(spec) == (0, 2)
+        assert spec.normal_form == (0, 2)
 
     def test_finite_window_absent(self):
         spec = KappaSpec(L=2, k=2, preperiod=0, period=None, table=((1,),), window=1)
-        assert is_n_periodic(spec) is None
+        assert spec.normal_form is None
 
     def test_nontrivial_preperiod(self):
         spec = KappaSpec(L=3, k=2, preperiod=2, period=2, table=((2, 0, 1, 1),))
-        assert is_n_periodic(spec) == (2, 1)
+        assert spec.normal_form == (2, 1)
 
     def test_reduces_declared_preperiod(self):
         spec = KappaSpec(L=2, k=2, preperiod=2, period=1, table=((1, 1, 1),))
-        assert is_n_periodic(spec) == (0, 1)
+        assert spec.normal_form == (0, 1)
 
     def test_reduces_preperiod_into_rotated_period(self):
         # 1, 0, 1, 0, ...: the declared preperiod column starts the cycle
         spec = KappaSpec(L=2, k=2, preperiod=1, period=2, table=((1, 0, 1),))
-        assert is_n_periodic(spec) == (0, 2)
+        assert spec.normal_form == (0, 2)
 
     def test_reduces_both_partially(self):
         # 2, 0, 1, 0, 1, ...: one column of preperiod is genuine
         spec = KappaSpec(L=3, k=2, preperiod=3, period=4, table=((2, 0, 1, 0, 1, 0, 1),))
-        assert is_n_periodic(spec) == (1, 2)
+        assert spec.normal_form == (1, 2)
 
     def test_multirow_columns_compared_whole(self):
         # row 1 alone would reduce to (0, 1); row 2 keeps the preperiod
         spec = KappaSpec(L=2, k=3, preperiod=1, period=1, table=((1, 1), (0, 1)))
-        assert is_n_periodic(spec) == (1, 1)
+        assert spec.normal_form == (1, 1)
 
 
 class TestKernelBruteForce:
@@ -164,7 +223,7 @@ class TestKernelBruteForce:
         groups = kernel_brute_force(spec, 5, horizon)
         explored = kernel_explore(spec)
         denotations = {
-            state_denotation(spec, state, horizon) for state in explored.states
+            state_denotation(spec, state, range(horizon)) for state in explored.states
         }
         for prefix in groups:
             assert prefix in denotations

@@ -276,6 +276,16 @@ class TestLimits:
         monkeypatch.setenv("GTMSEQ_BUDGET", "1001")
         assert run(capsys, "stammer", spec, "0", "1", "4")[0] == 0
 
+    def test_stammer_shift_index_reaches_2_63(self, tmp_path, capsys, monkeypatch):
+        # the largest block shift index is L * l * 2**m = 2**20 * 2**30 * 2**33
+        spec = write_spec(tmp_path, 2**20, 2, 1)
+        monkeypatch.setenv("GTMSEQ_BUDGET", str(2**21))
+        code, out, err = run(capsys, "stammer", spec, "0", str(2**30), "33")
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
+        assert "Traceback" not in err
+
     def test_power_residue_cycle_budgeted(self, tmp_path, capsys, monkeypatch):
         # 2 has order 100002 mod the prime 100003
         spec = write_spec(tmp_path, 100003, 2, 1)

@@ -74,6 +74,15 @@ class TestBuildWitness:
             ok, diag = verify_witness(window, witness)
             assert ok, diag
 
+    def test_large_modulus(self):
+        # L + 1 = 10**6 + 1 block shifts a(16 t) = popcount(t); t = 1, 2 collide
+        spec = constant_spec(10**6, 2, (1,))
+        witness = build_witness(spec, 0, 1, 4)
+        assert (witness.t, witness.t_prime) == (1, 2)
+        window = equally_spaced(spec, 0, 1, len(witness.prefix_word()))
+        ok, diag = verify_witness(window, witness)
+        assert ok, diag
+
     def test_shift_consistency(self, tm, rng):
         # a(n + k**m * t * l) == a(n) + a(k**m * t * l) for n < k**m
         m, l = 5, 3
