@@ -8,109 +8,18 @@ and continued fractions.
 
 __version__ = "0.1.0"
 
-from .analytic import (
-    ConvergentList,
-    TruncatedProductSeries,
-    eval_cf,
-    eval_series,
-    irrationality_estimate,
-    periodic_series_value,
-    product_coefficients,
-)
-from .automaton import (
-    KernelResult,
-    KernelState,
-    kernel_brute_force,
-    kernel_explore,
-)
-from .errors import (
-    BudgetExceededError,
-    FactorizationError,
-    GtmseqError,
-    MTooSmallError,
-    PeriodicSpecError,
-    SpecParseError,
-    WindowExceededError,
-)
-from .expansion import (
-    DigitExpansion,
-    GapMultipleResult,
-    digit_count,
-    digit_count_mod,
-    digit_indicator,
-    expand,
-    gap_multiple,
-    gap_multiple_pair,
-)
-from .kappa import (
-    KappaSpec,
-    SequenceWindow,
-    a_of_n,
-    a_values,
-    equally_spaced,
-    generate_prefix_morphic,
-)
-from .periodicity import (
-    PeriodicityVerdict,
-    aenp_scan,
-    brute_force_period,
-    classify,
-    classify_constant,
-)
-from .specfile import parse_spec, parse_spec_text, spec_to_text
-from .stammer import (
-    StammerWitness,
-    build_witness,
-    min_legal_m,
-    verify_witness,
-    witness_family,
-)
+from . import analytic, automaton, errors, expansion, kappa, periodicity, specfile, stammer
+from .analytic import *
+from .automaton import *
+from .errors import *
+from .expansion import *
+from .kappa import *
+from .periodicity import *
+from .specfile import *
+from .stammer import *
 
-__all__ = [
-    "__version__",
-    "ConvergentList",
-    "TruncatedProductSeries",
-    "eval_cf",
-    "eval_series",
-    "irrationality_estimate",
-    "periodic_series_value",
-    "product_coefficients",
-    "KernelResult",
-    "KernelState",
-    "kernel_brute_force",
-    "kernel_explore",
-    "BudgetExceededError",
-    "FactorizationError",
-    "GtmseqError",
-    "MTooSmallError",
-    "PeriodicSpecError",
-    "SpecParseError",
-    "WindowExceededError",
-    "DigitExpansion",
-    "GapMultipleResult",
-    "digit_count",
-    "digit_count_mod",
-    "digit_indicator",
-    "expand",
-    "gap_multiple",
-    "gap_multiple_pair",
-    "KappaSpec",
-    "SequenceWindow",
-    "a_of_n",
-    "a_values",
-    "equally_spaced",
-    "generate_prefix_morphic",
-    "PeriodicityVerdict",
-    "aenp_scan",
-    "brute_force_period",
-    "classify",
-    "classify_constant",
-    "parse_spec",
-    "parse_spec_text",
-    "spec_to_text",
-    "StammerWitness",
-    "build_witness",
-    "min_legal_m",
-    "verify_witness",
-    "witness_family",
+__all__ = ["__version__"] + [
+    name
+    for module in (analytic, automaton, errors, expansion, kappa, periodicity, specfile, stammer)
+    for name in module.__all__
 ]

@@ -82,23 +82,24 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     Shifts are kept as ``spec.canonical_column`` representatives, so two
     states denote the same function exactly when they are equal.  The
     closure stops, incomplete, when a new state would pass ``max_states``
-    or a finite window runs out of columns; it then keeps the states
-    added so far and the rows it finished.
+    or a state's column lies past a finite window, which adds none of
+    its children; it then keeps the states added so far and the rows it
+    finished.
     """
     states = [KernelState(shift=spec.canonical_column(0), offset=0)]
     index = {states[0]: 0}
     transitions: list[tuple[int, ...]] = []
     complete = True
     for state in states:  # grows while iterated, so the order is breadth-first
+        try:
+            steps = (0,) + spec.column(state.shift)
+        except WindowExceededError:
+            # Finite-window spec ran out of columns: inconclusive.
+            complete = False
+            break
         shift = spec.canonical_column(state.shift + 1)
         row = []
-        for j in range(spec.k):
-            try:
-                step = spec.kappa(j, state.shift) if j else 0
-            except WindowExceededError:
-                # Finite-window spec ran out of columns: inconclusive.
-                complete = False
-                break
+        for step in steps:
             child = KernelState(shift=shift, offset=(state.offset + step) % spec.L)
             child_idx = index.setdefault(child, len(states))
             if child_idx == len(states):

@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Subcommands wrap the library modules one-to-one and emit a deterministic
-JSON report on stdout (wall time goes to stderr so identical inputs give
-byte-identical output).  Exit codes:
+Subcommands wrap the library modules one-to-one.  ``main`` is the one
+report path: it parses the spec file, calls the subcommand's
+``(spec, args) -> result`` function and prints the result as a
+deterministic JSON report on stdout, whose ``parameters`` are the parsed
+arguments (wall time goes to stderr so identical inputs give
+byte-identical output).  Exact answers print whole, however many digits
+they have.  Exit codes:
 
     0  success
-    2  spec-file parse error / bad usage, including integers out of range
-       (an index reaching 2**63, a modulus L above 2**57) and a base k
-       too hard to factor
+    2  spec-file parse error / bad usage, including an unreadable spec
+       path, integers out of range (an index reaching 2**63, a modulus L
+       above 2**57) and a base k too hard to factor
     3  operation refused because the sequence is (or may be) periodic
     4  finite-window spec queried beyond its window
     5  memory budget exceeded: every word, window or index array is
@@ -34,8 +38,6 @@ from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
 
-EXIT_USAGE = 2
-
 _EPILOG = """\
 exit codes:
   0 success; 2 parse error or bad usage (also out-of-range integers,
@@ -45,72 +47,37 @@ exit codes:
 """
 
 
-def _report(command: str, parameters: dict, result) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "version": __version__,
-    }
-
-
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True, separators=(", ", ": ")))
-
-
 def _word_str(values) -> str:
     if all(v < 10 for v in values):
         return "".join(str(v) for v in values)
     return " ".join(str(v) for v in values)
 
 
-def _cmd_gen(args) -> int:
-    spec = parse_spec(args.specfile)
-    count, start, stride = args.count, args.N, args.l
-
-    def morphic_values():
-        indices = spaced_indices(start, stride, count).tolist()
+def _gen(spec, args):
+    words = []
+    if args.mode != "morphic":
+        words.append(list(equally_spaced(spec, args.N, args.l, args.count).values))
+    if args.mode != "digit":
+        indices = spaced_indices(args.N, args.l, args.count).tolist()
         m = 0
         while spec.k**m <= max(indices, default=0):
             m += 1
         word = generate_prefix_morphic(spec, m)
-        return [word[i] for i in indices]
-
-    if args.mode == "digit":
-        values = list(equally_spaced(spec, start, stride, count).values)
-        agree = None
-    elif args.mode == "morphic":
-        values = morphic_values()
-        agree = None
-    else:
-        values = list(equally_spaced(spec, start, stride, count).values)
-        agree = values == morphic_values()
-
+        words.append([word[i] for i in indices])
+    result = {"values": words[0]}
+    if len(words) == 2:
+        result["agree"] = words[0] == words[1]
     if args.json:
-        result = {"values": values}
-        if agree is not None:
-            result["agree"] = agree
-        _emit(_report("gen", {"specfile": args.specfile, "mode": args.mode,
-                              "count": count, "N": start, "l": stride}, result))
-    else:
-        line = _word_str(values)
-        if agree is not None:
-            line += " AGREE" if agree else " DISAGREE"
-        print(line)
-    return 0
+        return result
+    line = _word_str(words[0])
+    if "agree" in result:
+        line += " AGREE" if result["agree"] else " DISAGREE"
+    return line
 
 
-def _cmd_classify(args) -> int:
-    spec = parse_spec(args.specfile)
-    verdict = classify(spec)
-    _emit(_report("classify", {"specfile": args.specfile}, verdict.to_record()))
-    return 0
-
-
-def _cmd_stammer(args) -> int:
-    spec = parse_spec(args.specfile)
+def _stammer(spec, args):
     witness = build_witness(spec, args.N, args.l, args.m)
-    result = {
+    return {
         "N": witness.N,
         "l": witness.l,
         "m": witness.m,
@@ -123,17 +90,6 @@ def _cmd_stammer(args) -> int:
         "repeated_block_length": witness.w2_len,
         "spacer_length": witness.w3_len,
     }
-    _emit(_report("stammer", {"specfile": args.specfile, "N": args.N,
-                              "l": args.l, "m": args.m}, result))
-    return 0
-
-
-def _cmd_kernel(args) -> int:
-    spec = parse_spec(args.specfile)
-    result = kernel_explore(spec, max_states=args.max_states)
-    _emit(_report("kernel", {"specfile": args.specfile,
-                             "max_states": args.max_states}, result.to_record()))
-    return 0
 
 
 def _truncated_decimal(value, digits: int) -> str:
@@ -142,43 +98,34 @@ def _truncated_decimal(value, digits: int) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def _cmd_eval(args) -> int:
-    spec = parse_spec(args.specfile)
+def _eval(spec, args):
     lo, hi = eval_series(spec, args.N, args.l, args.beta, args.digits)
     lo_text = _truncated_decimal(lo, args.digits)
     hi_text = _truncated_decimal(hi, args.digits)
-    result = {
+    return {
         "decimal": lo_text,
         "decimal_settled": lo_text == hi_text,
         "lo": f"{lo.numerator}/{lo.denominator}",
         "hi": f"{hi.numerator}/{hi.denominator}",
     }
-    _emit(_report("eval", {"specfile": args.specfile, "N": args.N, "l": args.l,
-                           "beta": args.beta, "digits": args.digits}, result))
-    return 0
 
 
-def _cmd_cf(args) -> int:
-    spec = parse_spec(args.specfile)
+def _cf(spec, args):
     conv = eval_cf(spec, args.N, args.l, args.depth)
-    result = {
+    return {
         "quotients": list(conv.quotients),
         "convergents": [[str(p), str(q)] for p, q in conv.convergents],
     }
-    _emit(_report("cf", {"specfile": args.specfile, "N": args.N, "l": args.l,
-                         "depth": args.depth}, result))
-    return 0
 
 
-def _cmd_gap(args) -> int:
+def _gap(spec, args):
     result = gap_multiple(args.l, args.k, args.t)
-    _emit(_report("gap", {"l": args.l, "k": args.k, "t": args.t}, {
+    return {
         "x": str(result.x),
         "leading_exponent": result.leading_exponent,
         "gap": result.gap,
         "expansion": [[s, w] for s, w in result.expansion.terms],
-    }))
-    return 0
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,23 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=0)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_gen)
 
     p = sub.add_parser("classify", help="decide ultimate periodicity")
     p.add_argument("specfile")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=lambda spec, args: classify(spec).to_record())
 
     p = sub.add_parser("stammer", help="build a stammering witness")
     p.add_argument("specfile")
     p.add_argument("N", type=int)
     p.add_argument("l", type=int)
     p.add_argument("m", type=int)
-    p.set_defaults(func=_cmd_stammer)
+    p.set_defaults(func=_stammer)
 
     p = sub.add_parser("kernel", help="explore the k-kernel DFAO")
     p.add_argument("specfile")
     p.add_argument("--max-states", type=int, default=4096)
-    p.set_defaults(func=_cmd_kernel)
+    p.set_defaults(func=lambda spec, args: kernel_explore(spec, args.max_states).to_record())
 
     p = sub.add_parser("eval", help="evaluate the series sum a(N+nl)/beta^(n+1)")
     p.add_argument("specfile")
@@ -223,39 +170,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("l", type=int)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--digits", type=int, default=12)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_eval)
 
     p = sub.add_parser("cf", help="continued fraction [0: a(N), a(N+l), ...]")
     p.add_argument("specfile")
     p.add_argument("N", type=int)
     p.add_argument("l", type=int)
     p.add_argument("--depth", type=int, default=20)
-    p.set_defaults(func=_cmd_cf)
+    p.set_defaults(func=_cf)
 
     p = sub.add_parser("gap", help="gap-multiple witness for (l, k, t)")
     p.add_argument("l", type=int)
     p.add_argument("k", type=int)
     p.add_argument("t", type=int)
-    p.set_defaults(func=_cmd_gap)
+    p.set_defaults(func=_gap)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    # Inputs keep Python's cap on int <-> str digits; the answers lift it
+    # (Pythons before 3.10.7 have no cap).
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
-        code = args.func(args)
-    except GtmseqError as exc:
+        spec = parse_spec(args.specfile) if "specfile" in args else None
+        if digit_cap is not None:
+            sys.set_int_max_str_digits(0)
+        result = args.func(spec, args)
+        if isinstance(result, dict):
+            parameters = {key: value for key, value in vars(args).items()
+                          if key not in ("command", "func", "json")}
+            report = {"command": args.command, "parameters": parameters,
+                      "result": result, "version": __version__}
+            result = json.dumps(report, sort_keys=True, separators=(", ", ": "))
+    except (GtmseqError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (ValueError, OverflowError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", GtmseqError.exit_code)
+    finally:
+        if digit_cap is not None:
+            sys.set_int_max_str_digits(digit_cap)
+    print(result)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"wall_time_ms={elapsed_ms:.3f}", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

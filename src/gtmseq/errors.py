@@ -3,6 +3,16 @@
 Each type carries the ``gtmseq`` command-line exit code it maps to.
 """
 
+__all__ = [
+    "GtmseqError",
+    "SpecParseError",
+    "WindowExceededError",
+    "BudgetExceededError",
+    "PeriodicSpecError",
+    "MTooSmallError",
+    "FactorizationError",
+]
+
 
 class GtmseqError(Exception):
     """Base class for all library errors."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FactorizationError
+from .kappa import check_budget
 
 __all__ = [
     "DigitExpansion",
@@ -150,6 +151,8 @@ def gap_multiple(l: int, k: int, t: int, factor_bound: int = 10**6) -> GapMultip
         raise ValueError(f"k must be >= 2, got {k}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    # x*l = k**f * (D*G)**2 with D < k**(t+1): D*D alone has 2*(t+1) base-k digits
+    check_budget(2 * (t + 1))
 
     k_primes = _factor(k, factor_bound)
     # Strip k's primes from l; the cofactor G is automatically coprime to k.

@@ -108,14 +108,15 @@ class TestKernelExplore:
                          table=((1, 0, 1),), window=3)
         result = kernel_explore(spec)
         assert not result.complete
-        # state 5 = (3, 0) reads past the window: its 0-child (4, 0) is
-        # kept, its row is not
+        # state 5 = (3, 0) reads past the window: it adds no child and no row
         assert result.states == tuple(
             KernelState(shift, offset)
-            for shift, offset in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)]
+            for shift, offset in [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
         )
         assert result.transitions == ((1, 2), (3, 3), (4, 4), (5, 6), (6, 5))
-        assert result.outputs == (0, 0, 1, 0, 1, 0, 1, 0)
+        assert result.outputs == (0, 0, 1, 0, 1, 0, 1)
+        targets = {child for row in result.transitions for child in row}
+        assert targets == set(range(1, len(result.states)))
 
 
 def moore_classes(outputs, transitions):

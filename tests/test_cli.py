@@ -1,9 +1,14 @@
 import json
+import sys
+from contextlib import contextmanager
 from importlib import resources
 
 import pytest
 
+from gtmseq import __version__
+from gtmseq.analytic import eval_series
 from gtmseq.cli import main
+from gtmseq.specfile import parse_spec
 
 
 def spec_path(name):
@@ -19,6 +24,82 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def whole_ints():
+    """Lift Python's int <-> str digit cap (3.10.7+) for a test's own checks."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    lift(0)
+    try:
+        yield
+    finally:
+        lift(cap)
+
+
+class TestReport:
+    @pytest.mark.parametrize("argv,parameters", [
+        (("gen", TM, "--mode", "both", "--count", "4", "--N", "1", "--l", "2", "--json"),
+         {"specfile": TM, "mode": "both", "count": 4, "N": 1, "l": 2}),
+        (("gen", TM, "--mode", "both", "--count", "4", "--N", "1", "--l", "2"), None),
+        (("classify", TM), {"specfile": TM}),
+        (("stammer", TM, "0", "1", "4"), {"specfile": TM, "N": 0, "l": 1, "m": 4}),
+        (("kernel", TM, "--max-states", "7"), {"specfile": TM, "max_states": 7}),
+        (("eval", TM, "2", "3", "--beta", "5", "--digits", "6"),
+         {"specfile": TM, "N": 2, "l": 3, "beta": 5, "digits": 6}),
+        (("cf", TM, "2", "3", "--depth", "5"), {"specfile": TM, "N": 2, "l": 3, "depth": 5}),
+        (("gap", "6", "10", "2"), {"l": 6, "k": 10, "t": 2}),
+    ])
+    def test_parameters(self, capsys, argv, parameters):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if parameters is None:
+            # gen without --json prints its word line and no report
+            assert out == "1001 AGREE\n"
+            return
+        report = json.loads(out)
+        assert set(report) == {"command", "parameters", "result", "version"}
+        assert report["command"] == argv[0]
+        assert report["parameters"] == parameters
+        assert report["version"] == __version__
+
+
+class TestExactAnswers:
+    """Answers beyond Python's 4300-digit int <-> str cap print whole."""
+
+    def test_eval_beyond_digit_cap(self, capsys):
+        code, out, err = run(capsys, "eval", TM, "0", "1", "--beta", "2", "--digits", "4400")
+        assert code == 0
+        assert "error" not in err
+        result = json.loads(out)["result"]
+        lo = eval_series(parse_spec(TM), 0, 1, 2, 4400)[0]
+        with whole_ints():
+            assert result["lo"] == f"{lo.numerator}/{lo.denominator}"
+        assert len(result["decimal"]) == 4402
+
+    def test_gap_beyond_digit_cap(self, capsys):
+        code, out, _ = run(capsys, "gap", "5", "2", "10000")
+        assert code == 0
+        result = json.loads(out)["result"]
+        with whole_ints():
+            x = int(result["x"])
+        assert sum(s * 2**w for s, w in result["expansion"]) == x * 5
+        assert result["expansion"][0] == [1, result["leading_exponent"]]
+        assert result["gap"] > 10000
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int <-> str digit cap before Python 3.10.7")
+    def test_digit_cap_restored(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert run(capsys, "gap", "5", "2", "10000")[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+            assert run(capsys, "classify", "/nonexistent/x.spec")[0] == 2
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(cap)
 
 
 class TestGen:
@@ -179,6 +260,13 @@ class TestErrors:
         assert code == 2
         assert "error" in err
 
+    def test_directory_path_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "classify", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+        assert "Traceback" not in err
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.spec"
         bad.write_text("L = 2\nbogus = 1\n")
@@ -285,6 +373,15 @@ class TestLimits:
         assert out == ""
         assert "2**63" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t,code", [(499, 0), (500, 5), (100000, 5)])
+    def test_gap_budgeted(self, capsys, monkeypatch, t, code):
+        # x*l carries 2*(t + 1) base-k digits of the modulus k**(t + 1)
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        got, out, err = run(capsys, "gap", "5", "2", str(t))
+        assert got == code
+        assert (out == "") == (code == 5)
+        assert ("budget" in err) == (code == 5)
 
     def test_power_residue_cycle_budgeted(self, tmp_path, capsys, monkeypatch):
         # 2 has order 100002 mod the prime 100003
