@@ -81,10 +81,10 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
 
     Shifts are kept as ``spec.canonical_column`` representatives, so two
     states denote the same function exactly when they are equal.  The
-    closure stops, incomplete, when a new state would pass ``max_states``
-    or a state's column lies past a finite window, which adds none of
-    its children; it then keeps the states added so far and the rows it
-    finished.
+    closure stops, incomplete, when a row's new states would pass
+    ``max_states`` or a state's column lies past a finite window.  It
+    then drops that row with the states it added, so every state but the
+    root is the target of a recorded transition.
     """
     states = [KernelState(shift=spec.canonical_column(0), offset=0)]
     index = {states[0]: 0}
@@ -98,17 +98,19 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
             complete = False
             break
         shift = spec.canonical_column(state.shift + 1)
+        finished = len(states)
         row = []
         for step in steps:
             child = KernelState(shift=shift, offset=(state.offset + step) % spec.L)
             child_idx = index.setdefault(child, len(states))
             if child_idx == len(states):
-                if child_idx >= max_states:
-                    complete = False
-                    break
                 states.append(child)
             row.append(child_idx)
-        if not complete:
+        if len(states) > max(finished, max_states):
+            # The row added states past the cap (a row that adds none never
+            # stops the closure): drop them with the row.
+            del states[finished:]
+            complete = False
             break
         transitions.append(tuple(row))
     return KernelResult(

@@ -10,8 +10,8 @@ they have.  Exit codes:
 
     0  success
     2  spec-file parse error / bad usage, including an unreadable spec
-       path, integers out of range (an index reaching 2**63, a modulus L
-       above 2**57) and a base k too hard to factor
+       path and integers out of range (an index reaching 2**63, a
+       modulus L above 2**57)
     3  operation refused because the sequence is (or may be) periodic
     4  finite-window spec queried beyond its window
     5  memory budget exceeded: every word, window or index array is
@@ -40,8 +40,8 @@ from .stammer import build_witness
 
 _EPILOG = """\
 exit codes:
-  0 success; 2 parse error or bad usage (also out-of-range integers,
-  L > 2**57 and an unfactorable k); 3 periodic-refusal; 4 window-exceeded;
+  0 success; 2 parse error or bad usage (also out-of-range integers and
+  L > 2**57); 3 periodic-refusal; 4 window-exceeded;
   5 budget-exceeded (every allocation is checked against GTMSEQ_BUDGET;
   set it to raise the memory budget); 6 stammering index below minimum
 """

@@ -10,7 +10,6 @@ __all__ = [
     "BudgetExceededError",
     "PeriodicSpecError",
     "MTooSmallError",
-    "FactorizationError",
 ]
 
 
@@ -56,8 +55,3 @@ class MTooSmallError(GtmseqError):
 
     exit_code = 6
 
-
-class FactorizationError(GtmseqError):
-    """Trial division up to the configured bound left a composite cofactor."""
-
-    exit_code = 2

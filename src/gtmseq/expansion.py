@@ -14,8 +14,8 @@ of more than t empty positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .errors import FactorizationError
 from .kappa import check_budget
 
 __all__ = [
@@ -117,33 +117,16 @@ def digit_count_mod(n: int, s: int, k: int, L: int) -> int:
     return digit_count(n, s, k) % L
 
 
-def _factor(n: int, bound: int) -> dict[int, int]:
-    """Prime factorization by trial division up to ``bound``."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if d > bound:
-            raise FactorizationError(
-                f"trial division bound {bound} exceeded while factoring {n}"
-            )
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def gap_multiple(l: int, k: int, t: int, factor_bound: int = 10**6) -> GapMultipleResult:
+def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     """Multiple x*l whose base-k expansion is k**w1 * (1 + higher terms),
     with all higher terms more than t positions above w1.
 
-    Constructive: split l = G * prod(p**x_p) over the primes p of k with
-    G coprime to k, invert G modulo k**(t+1), and return the multiple
-    k**f * D**2 * G**2 (or k**f * (1 + k**(t+1)) when G = 1), where f is
-    the least exponent making k**f / prod(p**x_p) an integer.  f does
-    not depend on t, so paired calls share one leading exponent.
+    Constructive for every l >= 1 and k >= 2, with no factorization:
+    split l = G * H by repeated gcd with k, so that G is coprime to k and
+    H divides a power of k, invert G to D modulo k**(t+1), and return
+    the multiple x*l = k**f * (D*G)**2 (or k**f * (1 + k**(t+1)) when
+    G = 1), where f is the least exponent with H | k**f.  f does not
+    depend on t, so paired calls share one leading exponent.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -154,24 +137,18 @@ def gap_multiple(l: int, k: int, t: int, factor_bound: int = 10**6) -> GapMultip
     # x*l = k**f * (D*G)**2 with D < k**(t+1): D*D alone has 2*(t+1) base-k digits
     check_budget(2 * (t + 1))
 
-    k_primes = _factor(k, factor_bound)
-    # Strip k's primes from l; the cofactor G is automatically coprime to k.
+    # Strip from G every prime it shares with k; H = l // G is built from k's primes.
     G = l
-    mults: dict[int, int] = {}
-    for p in k_primes:
-        while G % p == 0:
-            mults[p] = mults.get(p, 0) + 1
-            G //= p
-
-    if mults:
-        # Least f with k**f / prod(p**x_p) an integer; keeps the witness small.
-        f = max(-(-x // k_primes[p]) for p, x in mults.items())
-        shifted = k**f
-        for p, x in mults.items():
-            shifted //= p**x  # exact: k**f dominates every p**x
-    else:
-        # l coprime to k: no shift needed at all.
-        shifted = 1
+    g = gcd(G, k)
+    while g > 1:
+        G //= g
+        g = gcd(G, k)
+    H = l // G
+    # Least f with H | k**f keeps the witness small; f = 0 when l is coprime to k.
+    f = 0
+    while pow(k, f, H):
+        f += 1
+    shifted = k**f // H
 
     modulus = k ** (t + 1)
     D = pow(G, -1, modulus)
@@ -191,10 +168,10 @@ def gap_multiple(l: int, k: int, t: int, factor_bound: int = 10**6) -> GapMultip
 
 
 def gap_multiple_pair(
-    l: int, k: int, t: int, t2: int, factor_bound: int = 10**6
+    l: int, k: int, t: int, t2: int
 ) -> tuple[GapMultipleResult, GapMultipleResult]:
     """Two gap multiples for thresholds t and t2 sharing one leading exponent."""
-    first = gap_multiple(l, k, t, factor_bound)
-    second = gap_multiple(l, k, t2, factor_bound)
+    first = gap_multiple(l, k, t)
+    second = gap_multiple(l, k, t2)
     assert first.leading_exponent == second.leading_exponent
     return first, second

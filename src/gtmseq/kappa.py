@@ -82,6 +82,8 @@ class KappaSpec:
     The declared (preperiod, period) need not be minimal; columns are
     looked up through ``normal_form``, the minimal pair, and
     ``canonical_column``, so equal column streams share one index.
+    ``column`` is the one reader of the table, and so the one place
+    that checks the window.
     """
 
     L: int
@@ -124,6 +126,10 @@ class KappaSpec:
         return self.period is None
 
     @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.table))
+
+    @cached_property
     def normal_form(self) -> tuple[int, int] | None:
         """Minimal (preperiod, period) of the column stream kappa(., y).
 
@@ -133,7 +139,7 @@ class KappaSpec:
         """
         if self.is_finite_window:
             return None
-        cols = list(zip(*self.table))
+        cols = self._columns
         pre, p = self.preperiod, self.period
         period = next(
             d for d in range(1, p + 1)
@@ -158,20 +164,20 @@ class KappaSpec:
             return y
         return form[0] + (y - form[0]) % form[1]
 
-    def kappa(self, s: int, y: int) -> int:
-        if not 1 <= s <= self.k - 1:
-            raise ValueError(f"s must lie in [1, {self.k - 1}], got {s}")
+    def column(self, y: int) -> tuple[int, ...]:
+        """kappa(., y) as a tuple over s = 1..k-1."""
         if y < 0:
             raise ValueError(f"y must be >= 0, got {y}")
         if self.is_finite_window and y >= self.window:
             raise WindowExceededError(
                 f"kappa queried at y={y} but window bound is {self.window}"
             )
-        return self.table[s - 1][self.canonical_column(y)]
+        return self._columns[self.canonical_column(y)]
 
-    def column(self, y: int) -> tuple[int, ...]:
-        """kappa(., y) as a tuple over s = 1..k-1."""
-        return tuple(self.kappa(s, y) for s in range(1, self.k))
+    def kappa(self, s: int, y: int) -> int:
+        if not 1 <= s <= self.k - 1:
+            raise ValueError(f"s must lie in [1, {self.k - 1}], got {s}")
+        return self.column(y)[s - 1]
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
     while n:
         n, d = divmod(n, k)
         if d:
-            total += spec.kappa(d, y)
+            total += spec.column(y)[d - 1]
         y += 1
     return total % spec.L
 
@@ -210,8 +216,6 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     if idx.min() < 0:
         raise ValueError("indices must be >= 0")
     top = int(idx.max())
-    if spec.is_finite_window and top >= spec.k**spec.window:
-        raise WindowExceededError(f"index {top} needs digits beyond window {spec.window}")
     k, L = spec.k, spec.L
     rem = idx.copy()
     digit = np.empty_like(rem)
@@ -219,10 +223,9 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     col = np.zeros(k, dtype=np.int64)
     y = 0
     while top:
-        # One pass per digit of the largest index; the bound check above
-        # keeps y inside a finite window.
-        c = spec.canonical_column(y)
-        col[1:] = [row[c] for row in spec.table]
+        # One pass per digit of the largest index; past a finite window
+        # the column read raises before any work on that digit.
+        col[1:] = spec.column(y)
         np.divmod(rem, k, out=(rem, digit))
         acc += col[digit]
         top //= k
@@ -239,10 +242,8 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if spec.is_finite_window and m > spec.window:
-        raise WindowExceededError(
-            f"morphic prefix needs kappa columns up to {m - 1}, window is {spec.window}"
-        )
+    if m:
+        spec.column(m - 1)  # a finite window fails here, before the budget
     check_budget(spec.k**m)
     word = np.zeros(1, dtype=np.int64)
     for y in range(m):

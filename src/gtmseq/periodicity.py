@@ -101,11 +101,11 @@ def power_residue_cycle(k: int, L: int) -> tuple[int, int]:
 def _shift_condition_fails(spec: KappaSpec, A: int, horizon: int) -> tuple[int, int] | None:
     """First (s, y) with kappa(s, A+y) != kappa(1, A)*s*k**y mod L, or None."""
     L, k = spec.L, spec.k
-    c = spec.kappa(1, A)
+    c = spec.column(A)[0]
     for y in range(horizon):
         ky = pow(k, y, L)
-        for s in range(1, k):
-            if spec.kappa(s, A + y) != (c * s * ky) % L:
+        for s, value in enumerate(spec.column(A + y), start=1):
+            if value != (c * s * ky) % L:
                 return s, y
     return None
 

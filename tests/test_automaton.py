@@ -103,6 +103,16 @@ class TestKernelExplore:
         assert result.transitions == ()
         assert result.outputs == (0,)
 
+    def test_max_states_drops_unfinished_row(self):
+        spec = KappaSpec(L=3, k=3, preperiod=0, period=1, table=((1,), (2,)))
+        result = kernel_explore(spec, max_states=2)
+        assert not result.complete
+        # the root's row adds (0, 1) and (0, 2), one past the cap: both go
+        assert result.states == (KernelState(0, 0),)
+        assert result.transitions == ()
+        targets = {child for row in result.transitions for child in row}
+        assert targets == set(range(1, len(result.states)))
+
     def test_finite_window_inconclusive(self):
         spec = KappaSpec(L=2, k=2, preperiod=0, period=None,
                          table=((1, 0, 1),), window=3)

@@ -8,6 +8,7 @@ import pytest
 from gtmseq import __version__
 from gtmseq.analytic import eval_series
 from gtmseq.cli import main
+from gtmseq.expansion import expand
 from gtmseq.specfile import parse_spec
 
 
@@ -312,11 +313,14 @@ class TestErrors:
         assert out == ""
         assert "error" in err
 
-    def test_unfactorable_k_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "gap", "5", str(2**61 - 1), "4")
-        assert code == 2
-        assert out == ""
-        assert "trial division" in err
+    def test_large_prime_k_gets_witness(self, capsys):
+        k = 2**61 - 1
+        code, out, err = run(capsys, "gap", "5", str(k), "4")
+        assert code == 0
+        assert "error" not in err
+        terms = expand(int(json.loads(out)["result"]["x"]) * 5, k).terms
+        assert terms[0][0] == 1
+        assert len(terms) == 1 or terms[1][1] - terms[0][1] > 4
 
     @pytest.mark.parametrize("argv", [
         ("cf", TM, "5", "-1", "--depth", "4"),

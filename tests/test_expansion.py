@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gtmseq.errors import FactorizationError
 from gtmseq.expansion import (
     digit_count,
     digit_count_mod,
@@ -89,6 +88,35 @@ class TestDigitQueries:
                 assert total == len(expand(n, k))
 
 
+def trial_division_gap_x(l, k, t):
+    """The gap-multiple x as first built: factor k by trial division, strip
+    its primes p (multiplicity e_p) from l, leaving G and the exponents
+    x_p, and shift by k**f / prod p**x_p with f = max ceil(x_p / e_p)."""
+    k_primes = {}
+    n, d = k, 2
+    while d * d <= n:
+        while n % d == 0:
+            k_primes[d] = k_primes.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        k_primes[n] = k_primes.get(n, 0) + 1
+    G, mults = l, {}
+    for p in k_primes:
+        while G % p == 0:
+            mults[p] = mults.get(p, 0) + 1
+            G //= p
+    f = max((-(-x // k_primes[p]) for p, x in mults.items()), default=0)
+    shifted = k**f
+    for p, x in mults.items():
+        shifted //= p**x
+    modulus = k ** (t + 1)
+    D = pow(G, -1, modulus)
+    if D * G == 1:
+        return (1 + modulus) * shifted
+    return D * D * G * shifted
+
+
 def brute_force_minimal_gap_multiple(l, k, t, limit=10**6):
     """Smallest x <= limit whose multiple has leading digit 1 and gap > t."""
     for x in range(1, limit + 1):
@@ -141,7 +169,18 @@ class TestGapMultiple:
         first, second = gap_multiple_pair(1, 3, 0, 0)
         assert first == second
 
-    def test_factor_bound_respected(self):
-        # k whose prime factors all exceed the trial-division bound
-        with pytest.raises(FactorizationError):
-            gap_multiple(2, 10007 * 10009, 0, factor_bound=1000)
+    def test_gcd_split_matches_trial_division(self):
+        for k in range(2, 31):
+            for l in range(1, 200):
+                for t in range(5):
+                    assert gap_multiple(l, k, t).x == trial_division_gap_x(l, k, t), (l, k, t)
+
+    def test_large_prime_factors_get_witnesses(self):
+        # no factorization of k is needed, however large its primes
+        for k in (10007 * 10009, (10**6 + 3) * (10**6 + 33), 2**61 - 1):
+            for l in (1, 2, 35, k, 2 * k):
+                for t in range(10):
+                    res = gap_multiple(l, k, t)
+                    assert expand(res.x * l, k) == res.expansion
+                    assert res.expansion.terms[0] == (1, res.leading_exponent)
+                    assert res.gap_exceeds(t)

@@ -1,0 +1,68 @@
+"""The README's command-line examples run and print what their comments say."""
+
+import json
+import shlex
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from gtmseq.cli import main
+from gtmseq.expansion import expand
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SPECS = str(resources.files("gtmseq") / "specs")
+
+
+def readme_commands():
+    """(argv, comment) for each ``gtmseq`` line of the README's sh blocks."""
+    commands = []
+    in_sh = False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("gtmseq "):
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command.replace("$SPECS", SPECS))[1:]
+            commands.append((argv, comment.strip()))
+    return commands
+
+
+COMMANDS = readme_commands()
+
+
+def test_every_subcommand_has_an_example():
+    assert sorted({argv[0] for argv, _ in COMMANDS}) == sorted(
+        ["gen", "classify", "stammer", "kernel", "eval", "cf", "gap"]
+    )
+
+
+@pytest.mark.parametrize("argv, comment", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_example_runs(capsys, argv, comment):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    command = argv[0]
+    if command == "gen":
+        assert out.strip() == comment == "01101001 AGREE"
+        return
+    result = json.loads(out)["result"]
+    if command == "classify":
+        assert result["status"] == "NonPeriodic" and "NonPeriodic" in comment
+    elif command == "stammer":
+        assert result["w_numerator"] > result["w_denominator"]  # w > 1
+    elif command == "kernel":
+        assert len(result["states"]) == 2 and result["complete"]
+        assert comment.startswith("2-state")
+    elif command == "eval":
+        assert result["decimal"] == comment == "0.412454033640"
+    elif command == "cf":
+        # [0: a(0) + 1, a(1) + 1, ...]: the leading 0, then depth quotients
+        assert len(result["quotients"]) == int(argv[argv.index("--depth") + 1]) + 1
+    elif command == "gap":
+        l, k, t = (int(v) for v in argv[1:])
+        assert (l, k, t) == (6, 10, 2)
+        terms = expand(int(result["x"]) * l, k).terms
+        assert [[s, w] for s, w in terms] == result["expansion"]
+        assert terms[0] == (1, result["leading_exponent"])
+        assert len(terms) == 1 or terms[1][1] - terms[0][1] > t
