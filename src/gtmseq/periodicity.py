@@ -6,10 +6,15 @@ shift A with
     kappa(s, A + y) == kappa(1, A) * s * k**y  (mod L)
 
 for every digit s and every y >= 0, in which case L * k**A is a period.
-Both sides of the congruence are eventually periodic in y, so each
-candidate A is decided by comparing finitely many columns, and A itself
-only needs to range over [0, y0 + p): for A >= y0 the left side depends
-on A through (A - y0) mod p alone, and so does kappa(1, A).
+The right side at y + 1 is k times the right side at y, so the
+congruence holds for all y once it holds at y = 0 and every column pair
+(kappa(., A + y), kappa(., A + y + 1)) steps by the factor k mod L.  In
+the normal form (y0, p) the canonical column of A + y fixes that of
+A + y + 1, and A's orbit through the canonical columns closes after
+n = max(y0 - A, 0) + p steps, so checking y = 0 .. n decides A, whatever
+L and the order of k mod L.
+A itself only needs to range over [0, y0 + p): for A >= y0 the left
+side depends on A through (A - y0) mod p alone, and so does kappa(1, A).
 
 The module also carries the window-scan oracles: a least-period search
 on a finite word (one Knuth-Morris-Pratt border pass) and the grid scan
@@ -19,12 +24,10 @@ over equally spaced subsequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .kappa import KappaSpec, a_values, spaced_indices, word_budget
+from .kappa import KappaSpec, a_values, spaced_indices
 
 __all__ = [
     "PeriodicityVerdict",
@@ -32,7 +35,6 @@ __all__ = [
     "classify_constant",
     "brute_force_period",
     "aenp_scan",
-    "power_residue_cycle",
 ]
 
 PERIODIC = "Periodic"
@@ -45,8 +47,10 @@ class PeriodicityVerdict:
     """Outcome of the periodicity criterion.
 
     Periodic carries the shift A and the (not necessarily minimal)
-    period L * k**A, plus the y-window over which the congruence was
-    verified.  NonPeriodic carries, per candidate shift A, the first
+    period L * k**A, plus ``checked_window``: the congruence was
+    verified for every column index A + y below it, that is up to
+    A + max(y0 - A, 0) + p for the normal form (y0, p), which decides it
+    for all y.  NonPeriodic carries, per candidate shift A, the first
     (s, y) refuting it.  UnknownUpToBound is the honest answer for
     finite-window specs.
     """
@@ -80,24 +84,6 @@ class PeriodicityVerdict:
         return rec
 
 
-def power_residue_cycle(k: int, L: int) -> tuple[int, int]:
-    """(preperiod, cycle length) of the sequence k**y mod L.
-
-    Raises BudgetExceededError before storing more than word_budget() residues.
-    """
-    budget = word_budget()
-    seen: dict[int, int] = {}
-    v = 1 % L
-    y = 0
-    while v not in seen:
-        if y >= budget:
-            raise BudgetExceededError(f"powers of {k} mod {L} exceed budget {budget}")
-        seen[v] = y
-        v = (v * k) % L
-        y += 1
-    return seen[v], y - seen[v]
-
-
 def _shift_condition_fails(spec: KappaSpec, A: int, horizon: int) -> tuple[int, int] | None:
     """First (s, y) with kappa(s, A+y) != kappa(1, A)*s*k**y mod L, or None."""
     L, k = spec.L, spec.k
@@ -114,17 +100,17 @@ def classify(spec: KappaSpec) -> PeriodicityVerdict:
     """Decide ultimate periodicity of the spec's sequence.
 
     Finite-window specs cannot be decided (the criterion quantifies over
-    all y); they yield UnknownUpToBound after scanning what the window
-    allows.
+    all y); they yield UnknownUpToBound with the window as bound, and no
+    column is read.
     """
     if spec.is_finite_window:
         return PeriodicityVerdict(status=UNKNOWN, bound=spec.window)
-    rhs_pre, rhs_cyc = power_residue_cycle(spec.k, spec.L)
+    y0, p = spec.normal_form
     refutations = []
     for A in range(spec.preperiod + spec.period):
-        # Both sides are eventually periodic in y, so comparing up to
-        # max(preperiods) + lcm(periods) decides equality for all y.
-        horizon = max(spec.preperiod - A, rhs_pre) + lcm(spec.period, rhs_cyc)
+        # Checking y = 0 .. max(y0 - A, 0) + p visits every step of A's
+        # orbit through the canonical columns (module docstring).
+        horizon = max(y0 - A, 0) + p + 1
         failure = _shift_condition_fails(spec, A, horizon)
         if failure is None:
             return PeriodicityVerdict(

@@ -88,6 +88,9 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     if m < legal:
         raise MTooSmallError(f"m={m} below minimum {legal} for N={N}, l={l}, k={k}")
 
+    if m >= 63:
+        # the largest shift index L * l * k**m is then at least 2**64
+        raise ValueError(f"shift index L*l*k**{m} reaches 2**63, beyond int64 indices")
     block = k**m
     shifts = a_values(spec, spaced_indices(0, l * block, L + 1)).tolist()
     # Deterministic pigeonhole: among collisions take smallest t'-t, then t.

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from gtmseq import KappaSpec
-from gtmseq.periodicity import power_residue_cycle
 
 
 def make_spec(L, k, preperiod, period, columns, name=None):
@@ -33,6 +32,16 @@ def zero_spec(L=2, k=2):
 def alternating_spec():
     # kappa(1, y) = 0, 1, 0, 1, ...
     return KappaSpec(L=2, k=2, preperiod=0, period=2, table=((0, 1),), name="alternating")
+
+
+def power_residue_cycle(k, L):
+    """(preperiod, cycle length) of the sequence k**y mod L, by walking it."""
+    seen = {}
+    v, y = 1 % L, 0
+    while v not in seen:
+        seen[v] = y
+        v, y = (v * k) % L, y + 1
+    return seen[v], y - seen[v]
 
 
 def random_spec(rng: random.Random, L_max=6, k_max=5, y0_max=3, p_max=4):

@@ -387,15 +387,39 @@ class TestLimits:
         assert (out == "") == (code == 5)
         assert ("budget" in err) == (code == 5)
 
-    def test_power_residue_cycle_budgeted(self, tmp_path, capsys, monkeypatch):
-        # 2 has order 100002 mod the prime 100003
+    def test_large_modulus_classified(self, tmp_path, capsys, monkeypatch):
+        # 2 has order 100002 mod the prime 100003; classify never walks it
         spec = write_spec(tmp_path, 100003, 2, 1)
-        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
-        code, out, err = run(capsys, "classify", spec)
-        assert code == 5
-        assert out == ""
-        assert "budget" in err
-        monkeypatch.delenv("GTMSEQ_BUDGET")
         code, out, _ = run(capsys, "classify", spec)
         assert code == 0
         assert json.loads(out)["result"]["status"] == "NonPeriodic"
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        assert run(capsys, "classify", spec)[:2] == (0, out)
+
+    @pytest.mark.parametrize(
+        "k,row,result",
+        [
+            (2, "0", {"status": "Periodic", "A": 0, "period": 2**57 - 13}),
+            (3, "1\n2", {"status": "NonPeriodic", "refutations": [[0, 1, 1]]}),
+        ],
+        ids=["zero-k2", "k3"],
+    )
+    @pytest.mark.parametrize("budget", [None, "1000"], ids=["default", "budget-1000"])
+    def test_modulus_near_2_57_classified(self, tmp_path, capsys, monkeypatch,
+                                          k, row, result, budget):
+        if budget:
+            monkeypatch.setenv("GTMSEQ_BUDGET", budget)
+        code, out, err = run(capsys, "classify", write_spec(tmp_path, 2**57 - 13, k, row))
+        assert code == 0
+        assert "error" not in err
+        got = json.loads(out)["result"]
+        assert {key: got[key] for key in result} == result
+
+    @pytest.mark.parametrize("m", ["100000000", "1099511627776"])
+    def test_stammer_huge_m_is_usage_error(self, capsys, m):
+        # m >= 63 puts the largest shift index L * l * k**m past 2**64
+        code, out, err = run(capsys, "stammer", ALTERNATING, "0", "1", m)
+        assert code == 2
+        assert out == ""
+        assert "2**63" in err
+        assert "Traceback" not in err

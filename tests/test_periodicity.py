@@ -1,4 +1,5 @@
 import itertools
+from math import lcm
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from gtmseq.periodicity import (
     brute_force_period,
     classify,
     classify_constant,
-    power_residue_cycle,
 )
 from conftest import (
     alternating_spec,
     constant_spec,
+    make_spec,
     periodic_constructed_spec,
+    power_residue_cycle,
     random_spec,
     zero_spec,
 )
@@ -42,6 +44,46 @@ class TestPowerResidueCycle:
                     assert stream[y] == stream[y + cyc]
                 if pre > 0:
                     assert stream[pre - 1] not in stream[pre:pre + cyc] or cyc == 1
+
+
+def lcm_horizon_classify(spec):
+    """(status, shift, period, refutations) by the criterion read literally.
+
+    Reads the declared table directly and checks each shift A up to
+    max(preperiod - A, pre) + lcm(period, cyc), where (pre, cyc) is the
+    walk of k**y mod L: both sides of the congruence are periodic from
+    there on.
+    """
+    L, k, y0, p = spec.L, spec.k, spec.preperiod, spec.period
+
+    def kappa(s, y):
+        return spec.table[s - 1][y if y < y0 else y0 + (y - y0) % p]
+
+    pre, cyc = power_residue_cycle(k, L)
+    refutations = []
+    for A in range(y0 + p):
+        c = kappa(1, A)
+        failure = next(
+            (
+                (s, y)
+                for y in range(max(y0 - A, pre) + lcm(p, cyc))
+                for s in range(1, k)
+                if kappa(s, A + y) != c * s * pow(k, y, L) % L
+            ),
+            None,
+        )
+        if failure is None:
+            return PERIODIC, A, L * k**A, ()
+        refutations.append((A, *failure))
+    return NON_PERIODIC, None, None, tuple(refutations)
+
+
+def redeclared(spec, extra_preperiod, factor):
+    """The same column stream declared with a longer preperiod and period."""
+    y0 = spec.preperiod + extra_preperiod
+    p = spec.period * factor
+    columns = [spec.column(y) for y in range(y0 + p)]
+    return make_spec(spec.L, spec.k, y0, p, columns)
 
 
 class TestClassify:
@@ -96,6 +138,30 @@ class TestClassify:
             assert v1.status == v2.status
             if v1.status == PERIODIC:
                 assert v1.shift == v2.shift
+
+    def test_matches_power_cycle_horizon(self, rng):
+        specs = [random_spec(rng, L_max=L_max) for L_max in (6, 40) for _ in range(500)]
+        specs += [periodic_constructed_spec(rng)[0] for _ in range(500)]
+        specs += [
+            redeclared(spec, rng.randint(0, 2), rng.randint(1, 3))
+            for spec in specs[::3]
+        ]
+        # every table over L in {2, 3, 4, 6}, k <= 4, preperiod <= 2,
+        # period <= 3 that has at most 5 entries
+        for L, k, y0, p in itertools.product((2, 3, 4, 6), (2, 3, 4), (0, 1, 2), (1, 2, 3)):
+            if (k - 1) * (y0 + p) > 5:
+                continue
+            for flat in itertools.product(range(L), repeat=(k - 1) * (y0 + p)):
+                columns = [flat[y * (k - 1):(y + 1) * (k - 1)] for y in range(y0 + p)]
+                specs.append(make_spec(L, k, y0, p, columns))
+        for spec in specs:
+            verdict = classify(spec)
+            got = (verdict.status, verdict.shift, verdict.period, verdict.refutations)
+            assert got == lcm_horizon_classify(spec)
+            if verdict.is_periodic:
+                A = verdict.shift
+                y0, p = spec.normal_form
+                assert verdict.checked_window == A + max(y0 - A, 0) + p + 1
 
 
 class TestClassifyConstant:
