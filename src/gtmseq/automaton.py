@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowExceededError
-from .kappa import KappaSpec, a_values, check_budget
+from .errors import BudgetExceededError, WindowExceededError
+from .kappa import KappaSpec, a_values, check_budget, word_budget
 
 __all__ = [
     "KernelState",
@@ -84,8 +84,11 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     closure stops, incomplete, when a row's new states would pass
     ``max_states`` or a state's column lies past a finite window.  It
     then drops that row with the states it added, so every state but the
-    root is the target of a recorded transition.
+    root is the target of a recorded transition.  A closure that grows
+    past ``word_budget()`` states within ``max_states`` raises
+    BudgetExceededError.
     """
+    budget = word_budget()
     states = [KernelState(shift=spec.canonical_column(0), offset=0)]
     index = {states[0]: 0}
     transitions: list[tuple[int, ...]] = []
@@ -112,6 +115,8 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
             del states[finished:]
             complete = False
             break
+        if len(states) > budget:
+            raise BudgetExceededError(f"{len(states)} kernel states exceed budget {budget}")
         transitions.append(tuple(row))
     return KernelResult(
         states=tuple(states),

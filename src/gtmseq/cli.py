@@ -14,8 +14,9 @@ they have.  Exit codes:
        modulus L above 2**57)
     3  operation refused because the sequence is (or may be) periodic
     4  finite-window spec queried beyond its window
-    5  memory budget exceeded: every word, window or index array is
-       checked against the GTMSEQ_BUDGET environment variable
+    5  memory budget exceeded: every word, window, index array or
+       kernel closure is checked against the GTMSEQ_BUDGET environment
+       variable
     6  stammering index m below the legal minimum
 
 Each library error carries its exit code as ``exit_code``.

@@ -5,10 +5,10 @@ Every natural number n has a unique representation
     n = sum_q s_q * k**w_q,    1 <= s_q <= k-1,  w_{q+1} > w_q >= 0,
 
 i.e. the list of (nonzero digit, position) pairs of the ordinary base-k
-numeral.  This module provides that expansion, digit counting on it, and
-the "gap multiple" construction: for any l >= 1 and threshold t, a
-multiple x*l whose expansion has leading coefficient 1 followed by a gap
-of more than t empty positions.
+numeral.  This module provides that expansion and the "gap multiple"
+construction: for any l >= 1 and threshold t, a multiple x*l whose
+expansion has leading coefficient 1 followed by a gap of more than t
+empty positions.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ __all__ = [
     "DigitExpansion",
     "GapMultipleResult",
     "expand",
-    "digit_indicator",
-    "digit_count",
-    "digit_count_mod",
     "gap_multiple",
     "gap_multiple_pair",
 ]
@@ -80,41 +77,6 @@ def expand(n: int, k: int) -> DigitExpansion:
             terms.append((s, w))
         w += 1
     return DigitExpansion(base=k, terms=tuple(terms))
-
-
-def _check_digit(s: int, k: int) -> None:
-    if not 1 <= s <= k - 1:
-        raise ValueError(f"digit s must lie in [1, {k - 1}], got {s}")
-
-
-def digit_indicator(n: int, s: int, y: int, k: int) -> int:
-    """1 if the expansion of n contains the term s*k**y, else 0."""
-    _check_digit(s, k)
-    if y < 0:
-        raise ValueError(f"exponent y must be >= 0, got {y}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return 1 if (n // k**y) % k == s else 0
-
-
-def digit_count(n: int, s: int, k: int) -> int:
-    """Number of positions at which digit s occurs in base-k numeral of n."""
-    _check_digit(s, k)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    count = 0
-    while n:
-        n, d = divmod(n, k)
-        if d == s:
-            count += 1
-    return count
-
-
-def digit_count_mod(n: int, s: int, k: int, L: int) -> int:
-    """digit_count reduced into [0, L-1]."""
-    if L < 2:
-        raise ValueError(f"modulus L must be >= 2, got {L}")
-    return digit_count(n, s, k) % L
 
 
 def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:

@@ -6,13 +6,16 @@ shift A with
     kappa(s, A + y) == kappa(1, A) * s * k**y  (mod L)
 
 for every digit s and every y >= 0, in which case L * k**A is a period.
-The right side at y + 1 is k times the right side at y, so the
-congruence holds for all y once it holds at y = 0 and every column pair
-(kappa(., A + y), kappa(., A + y + 1)) steps by the factor k mod L.  In
-the normal form (y0, p) the canonical column of A + y fixes that of
-A + y + 1, and A's orbit through the canonical columns closes after
-n = max(y0 - A, 0) + p steps, so checking y = 0 .. n decides A, whatever
-L and the order of k mod L.
+The right side at y + 1 is k times the right side at y, so once the
+congruence holds at y - 1 for every s, it holds at y exactly when column
+A + y steps from column A + y - 1 by the factor k mod L.  A shift A is
+therefore refuted either at y = 0 (column A is not s * kappa(1, A)) or
+at the first column y' >= A whose next column is not k times it, and
+then at y = y' + 1 - A.  In the normal form (y0, p) A's orbit through
+the canonical columns closes after n = max(y0 - A, 0) + p steps, every
+later step is one already seen, so a step failing past y = n fails
+earlier too and checking y = 0 .. n decides A, whatever L and the
+order of k mod L.
 A itself only needs to range over [0, y0 + p): for A >= y0 the left
 side depends on A through (A - y0) mod p alone, and so does kappa(1, A).
 
@@ -84,20 +87,14 @@ class PeriodicityVerdict:
         return rec
 
 
-def _shift_condition_fails(spec: KappaSpec, A: int, horizon: int) -> tuple[int, int] | None:
-    """First (s, y) with kappa(s, A+y) != kappa(1, A)*s*k**y mod L, or None."""
-    L, k = spec.L, spec.k
-    c = spec.column(A)[0]
-    for y in range(horizon):
-        ky = pow(k, y, L)
-        for s, value in enumerate(spec.column(A + y), start=1):
-            if value != (c * s * ky) % L:
-                return s, y
-    return None
-
-
 def classify(spec: KappaSpec) -> PeriodicityVerdict:
     """Decide ultimate periodicity of the spec's sequence.
+
+    One backward pass over the normal-form columns y < y0 + 2p finds,
+    for each y, the first step at or after it that fails (module
+    docstring); each declared shift A then reads its verdict from column
+    A and that table, so the cost is linear in the column counts and
+    does not depend on L.
 
     Finite-window specs cannot be decided (the criterion quantifies over
     all y); they yield UnknownUpToBound with the window as bound, and no
@@ -105,21 +102,35 @@ def classify(spec: KappaSpec) -> PeriodicityVerdict:
     """
     if spec.is_finite_window:
         return PeriodicityVerdict(status=UNKNOWN, bound=spec.window)
+    L, k = spec.L, spec.k
     y0, p = spec.normal_form
+    # failing[y]: the least y' >= y with kappa(s, y' + 1) != k * kappa(s, y')
+    # mod L, as (y', least such s); None when no such y' < y0 + 2p - 1.
+    cols = [spec.column(y) for y in range(y0 + 2 * p)]
+    failing = [None] * len(cols)
+    for y in range(len(cols) - 2, -1, -1):
+        pairs = enumerate(zip(cols[y], cols[y + 1]), 1)
+        s = next((s for s, (u, v) in pairs if v != k * u % L), None)
+        failing[y] = failing[y + 1] if s is None else (y, s)
     refutations = []
     for A in range(spec.preperiod + spec.period):
-        # Checking y = 0 .. max(y0 - A, 0) + p visits every step of A's
-        # orbit through the canonical columns (module docstring).
-        horizon = max(y0 - A, 0) + p + 1
-        failure = _shift_condition_fails(spec, A, horizon)
-        if failure is None:
+        col = spec.column(A)
+        s = next((s for s, v in enumerate(col, 1) if v != col[0] * s % L), None)
+        a = spec.canonical_column(A)
+        if s is not None:
+            refutations.append((A, s, 0))
+        elif failing[a]:
+            # Steps repeat with period p from y0 on, so this first failing
+            # step lies inside a's orbit: y < a + max(y0 - a, 0) + p.
+            y, s = failing[a]
+            refutations.append((A, s, y + 1 - a))
+        else:
             return PeriodicityVerdict(
                 status=PERIODIC,
                 shift=A,
-                period=spec.L * spec.k**A,
-                checked_window=A + horizon,
+                period=L * k**A,
+                checked_window=A + max(y0 - A, 0) + p + 1,
             )
-        refutations.append((A, failure[0], failure[1]))
     return PeriodicityVerdict(status=NON_PERIODIC, refutations=tuple(refutations))
 
 

@@ -92,9 +92,17 @@ def parse_spec(path) -> KappaSpec:
 
 
 def spec_to_text(spec: KappaSpec) -> str:
+    """Spec file text that ``parse_spec_text`` reads back as ``spec``.
+
+    Raises ValueError for a name the format cannot carry: one holding
+    ``#`` or a line break, or with leading or trailing whitespace.
+    """
     lines = []
-    if spec.name:
-        lines.append(f"name = {spec.name}")
+    if spec.name is not None:
+        name = spec.name
+        if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
+            raise ValueError(f"spec name {name!r} cannot be written to a spec file")
+        lines.append(f"name = {name}")
     lines.append(f"L = {spec.L}")
     lines.append(f"k = {spec.k}")
     if spec.is_finite_window:

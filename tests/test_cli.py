@@ -206,6 +206,20 @@ class TestKernel:
         _, out2, _ = run(capsys, "kernel", ALTERNATING)
         assert out1 == out2
 
+    def test_states_past_budget_exit_5(self, tmp_path, capsys, monkeypatch):
+        # With L = 2**57 nearly every state is new: max_states does not stop
+        # the closure, so the budget has to.
+        spec = tmp_path / "wide.spec"
+        spec.write_text(f"L = {2**57}\nk = 3\npreperiod = 0\nperiod = 3\nkappa =\n1 2 3\n5 7 11\n")
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        code, out, err = run(capsys, "kernel", str(spec), "--max-states", str(2**63))
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+        code, out, _ = run(capsys, "kernel", str(spec), "--max-states", "999")
+        assert code == 0
+        assert json.loads(out)["result"]["complete"] is False
+
 
 class TestEval:
     def test_thue_morse_digits(self, capsys):

@@ -1,14 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gtmseq.expansion import (
-    digit_count,
-    digit_count_mod,
-    digit_indicator,
-    expand,
-    gap_multiple,
-    gap_multiple_pair,
-)
+from gtmseq.expansion import expand, gap_multiple, gap_multiple_pair
 
 
 class TestExpand:
@@ -39,53 +33,11 @@ class TestExpand:
         rebuilt = expand(exp.value(), k)
         assert rebuilt == exp
 
-
-class TestDigitQueries:
-    def test_indicator_examples(self):
-        assert digit_indicator(4, 1, 1, 3) == 1
-        assert digit_indicator(4, 2, 0, 3) == 0
-
-    def test_indicator_rejects_bad_digit(self):
-        with pytest.raises(ValueError):
-            digit_indicator(4, 3, 0, 3)
-        with pytest.raises(ValueError):
-            digit_indicator(4, 0, 0, 3)
-
-    @given(st.integers(0, 10**6), st.integers(2, 6), st.data())
-    def test_indicator_matches_expansion_membership(self, n, k, data):
-        s = data.draw(st.integers(1, k - 1))
-        y = data.draw(st.integers(0, 25))
-        assert digit_indicator(n, s, y, k) == int((s, y) in expand(n, k).terms)
-
-    def test_count_of_zero(self):
-        for k in range(2, 7):
-            for s in range(1, k):
-                assert digit_count(0, s, k) == 0
-
-    def test_count_example(self):
-        assert digit_count(5, 1, 2) == 2  # 5 = 101 in base 2
-
-    @given(st.integers(0, 10**6), st.integers(2, 6), st.data())
-    def test_count_matches_string_scan(self, n, k, data):
-        s = data.draw(st.integers(1, k - 1))
-        digits = []
-        v = n
-        while v:
-            v, d = divmod(v, k)
-            digits.append(d)
-        assert digit_count(n, s, k) == digits.count(s)
-
-    def test_count_mod(self):
-        assert digit_count_mod(5, 1, 2, 2) == 0
-        assert digit_count_mod(7, 1, 2, 2) == 1
-        with pytest.raises(ValueError):
-            digit_count_mod(5, 1, 2, 1)
-
     def test_nonzero_digit_total(self):
         for n in (0, 1, 17, 255, 3**9 + 5):
             for k in (2, 3, 5):
-                total = sum(digit_count(n, s, k) for s in range(1, k))
-                assert total == len(expand(n, k))
+                numeral = np.base_repr(n, k)
+                assert len(expand(n, k)) == len(numeral) - numeral.count("0")
 
 
 def trial_division_gap_x(l, k, t):

@@ -86,6 +86,17 @@ def redeclared(spec, extra_preperiod, factor):
     return make_spec(spec.L, spec.k, y0, p, columns)
 
 
+def late_failure_spec(y0, p):
+    """k = 2, L = 3 table that is zero except at column y0 - 1.
+
+    Periodic at A = y0; every earlier shift A is refuted at
+    y = y0 - 1 - A, late in its orbit.
+    """
+    columns = [(0,)] * (y0 + p)
+    columns[y0 - 1] = (1,)
+    return make_spec(3, 2, y0, p, columns)
+
+
 class TestClassify:
     def test_thue_morse_non_periodic(self, tm):
         verdict = classify(tm)
@@ -146,6 +157,7 @@ class TestClassify:
             redeclared(spec, rng.randint(0, 2), rng.randint(1, 3))
             for spec in specs[::3]
         ]
+        specs += [late_failure_spec(y0, p) for y0 in (1, 2, 5, 50, 200) for p in (1, 3)]
         # every table over L in {2, 3, 4, 6}, k <= 4, preperiod <= 2,
         # period <= 3 that has at most 5 entries
         for L, k, y0, p in itertools.product((2, 3, 4, 6), (2, 3, 4), (0, 1, 2), (1, 2, 3)):
@@ -162,6 +174,21 @@ class TestClassify:
                 A = verdict.shift
                 y0, p = spec.normal_form
                 assert verdict.checked_window == A + max(y0 - A, 0) + p + 1
+
+    def test_reads_each_column_pair_once(self, monkeypatch):
+        y0, p = 2000, 1
+        spec = late_failure_spec(y0, p)
+        reads = []
+        column = KappaSpec.column
+
+        def counting_column(self, y):
+            reads.append(y)
+            return column(self, y)
+
+        monkeypatch.setattr(KappaSpec, "column", counting_column)
+        verdict = classify(spec)
+        assert (verdict.status, verdict.shift) == (PERIODIC, y0)
+        assert len(reads) <= 2 * (y0 + 2 * p) + spec.preperiod + spec.period
 
 
 class TestClassifyConstant:

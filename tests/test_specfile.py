@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gtmseq import KappaSpec, SpecParseError, parse_spec_text, spec_to_text
@@ -34,12 +36,20 @@ class TestParse:
         assert spec.window == 3
 
     def test_roundtrip(self, rng):
-        for spec in [tm_spec(), alternating_spec()] + [random_spec(rng) for _ in range(10)]:
+        specs = [tm_spec(), alternating_spec()] + [random_spec(rng) for _ in range(10)]
+        # "name =" parses to "", so an empty name is written too
+        specs += [replace(tm_spec(), name=name) for name in (None, "", "tm v2", "a=b")]
+        for spec in specs:
             assert parse_spec_text(spec_to_text(spec)) == spec
 
     def test_roundtrip_finite_window(self):
         spec = KappaSpec(L=3, k=2, preperiod=0, period=None, table=((1, 2, 0),), window=3)
         assert parse_spec_text(spec_to_text(spec)) == spec
+
+    def test_unwritable_names_rejected(self):
+        for name in ("tm # v2", "#", "a\nb", "a\rb", "a\u2028b", " tm", "tm ", "\t"):
+            with pytest.raises(ValueError):
+                spec_to_text(replace(tm_spec(), name=name))
 
 
 class TestParseErrors:
