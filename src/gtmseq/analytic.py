@@ -148,6 +148,8 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int, value_map=None) -> Conv
 
     vals = a_values(spec, spaced_indices(N, l, depth)).tolist()
     quotients = [0] + [v + 1 if images is None else images[v] for v in vals]
+    # p_n, q_n have <= n * bit_length(max quotient) bits: count 64-bit limbs.
+    check_budget(depth * depth * max(quotients).bit_length() // 64)
 
     convergents = []
     p_prev, q_prev = 1, 0

@@ -144,9 +144,15 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     check_budget(size)
     word = a_values(spec, np.arange(size, dtype=np.int64))
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    # Equal int64 columns have equal bytes: one tuple per distinct column.
+    members: dict[bytes, list[tuple[int, int]]] = {}
     for e in range(e_max + 1):
         scale = spec.k**e
-        columns = word[: scale * horizon].reshape(horizon, scale).T
+        columns = np.ascontiguousarray(word[: scale * horizon].reshape(horizon, scale).T)
         for j, column in enumerate(columns):
-            groups.setdefault(tuple(column.tolist()), []).append((e, j))
+            key = column.tobytes()
+            group = members.get(key)
+            if group is None:
+                group = members[key] = groups[tuple(column.tolist())] = []
+            group.append((e, j))
     return groups

@@ -14,9 +14,9 @@ they have.  Exit codes:
        modulus L above 2**57)
     3  operation refused because the sequence is (or may be) periodic
     4  finite-window spec queried beyond its window
-    5  memory budget exceeded: every word, window, index array or
-       kernel closure is checked against the GTMSEQ_BUDGET environment
-       variable
+    5  memory budget exceeded: every word, window, index array,
+       kernel closure or convergent table is checked against the
+       GTMSEQ_BUDGET environment variable
     6  stammering index m below the legal minimum
 
 Each library error carries its exit code as ``exit_code``.
@@ -25,6 +25,7 @@ Each library error carries its exit code as ``exit_code``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -189,8 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     # Inputs keep Python's cap on int <-> str digits; the answers lift it
     # (Pythons before 3.10.7 have no cap).

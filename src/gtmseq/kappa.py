@@ -11,6 +11,13 @@ which this module evaluates pointwise, in vectorized batches, and by the
 equivalent word substitution (prefix doubling by factor k per step).
 Letters are residue indices 0..L-1; the corresponding complex roots of
 unity are never materialized.
+
+``a_values`` reads c digit positions per pass through chunk tables:
+entry t of a block's table sums kappa over the base-k digits of t at the
+block's positions, so a block costs one divmod by k**c and one gather
+(the last gathers by the quotient).  Slabs of 2**20 indices bound its
+working memory beyond the input and output.  It shares no code with
+``generate_prefix_morphic``, which stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 8_000_000
+_SLAB = 2**20
 
 
 def word_budget() -> int:
@@ -209,28 +217,38 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
 
 
 def a_values(spec: KappaSpec, indices) -> np.ndarray:
-    """Vectorized a_of_n over an array of non-negative indices."""
+    """Vectorized a_of_n over an array of non-negative indices.
+
+    Chunk tables (module docstring) of k**c <= min(4096, size // 32)
+    entries, so that no table outgrows a slice of the input.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if idx.min() < 0:
+    out = np.zeros(idx.size, dtype=np.int64)
+    if idx.size and idx.min() < 0:
         raise ValueError("indices must be >= 0")
-    top = int(idx.max())
-    k, L = spec.k, spec.L
-    rem = idx.copy()
-    digit = np.empty_like(rem)
-    acc = np.zeros(idx.shape, dtype=np.int64)
-    col = np.zeros(k, dtype=np.int64)
-    y = 0
+    k = spec.k
+    width = 1
+    while k ** (width + 1) <= min(4096, idx.size // 32):
+        width += 1
+    # Every column is read, so a finite window fails, before any gather.
+    tables, top, y = [], int(idx.max(initial=0)), 0
     while top:
-        # One pass per digit of the largest index; past a finite window
-        # the column read raises before any work on that digit.
-        col[1:] = spec.column(y)
-        np.divmod(rem, k, out=(rem, digit))
-        acc += col[digit]
-        top //= k
-        y += 1
-    return acc % L
+        column = np.array((0,) + spec.column(y), dtype=np.int64)
+        if y % width:
+            # Entry d * old size + r: digit d at position y, entry r below.
+            tables[-1] = np.add.outer(column, tables[-1]).ravel()
+        else:
+            tables.append(column)
+        top, y = top // k, y + 1
+    flat = idx.ravel()
+    for lo in range(0, idx.size if tables else 0, _SLAB):
+        acc, rem = out[lo : lo + _SLAB], flat[lo : lo + _SLAB]
+        for table in tables[:-1]:
+            rem, digit = np.divmod(rem, table.size)
+            acc += table[digit]
+        acc += tables[-1][rem]
+        acc %= spec.L
+    return out.reshape(idx.shape)
 
 
 def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:

@@ -26,11 +26,12 @@ over equally spaced subsequences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kappa import KappaSpec, a_values, spaced_indices
+from .kappa import KappaSpec, a_values, spaced_indices, word_budget
 
 __all__ = [
     "PeriodicityVerdict",
@@ -216,16 +217,25 @@ def aenp_scan(
     Runs brute_force_period on the length-``horizon`` window of
     a(N + n*l) for every N <= max_start, 1 <= l <= max_stride.  Returns
     the (l, N)-ordered list of windows found periodic; empty means no
-    equally spaced subsequence looked periodic at this scale.
+    equally spaced subsequence looked periodic at this scale.  Windows share
+    ``a_values`` calls in batches of max(min(budget, 2**16) // horizon, 1).
     """
     if max_preperiod is None:
         max_preperiod = horizon // 4
     if max_period is None:
         max_period = horizon // 4
+    if max_start < 0 or max_stride < 1:
+        return []
+    # One window's budget, and the 2**63 check on the largest index.
+    spaced_indices(max_start, max_stride, horizon)
+    steps = np.arange(horizon, dtype=np.int64)
+    rows = max(min(word_budget(), 2**16) // max(horizon, 1), 1)
+    grid = itertools.product(range(1, max_stride + 1), range(max_start + 1))
     hits = []
-    for stride in range(1, max_stride + 1):
-        for start in range(max_start + 1):
-            window = a_values(spec, spaced_indices(start, stride, horizon))
+    while batch := list(itertools.islice(grid, rows)):
+        pairs = np.array(batch, dtype=np.int64)
+        windows = a_values(spec, pairs[:, 1:] + pairs[:, :1] * steps)
+        for (stride, start), window in zip(batch, windows):
             found = brute_force_period(window, max_preperiod, max_period)
             if found is not None:
                 hits.append(

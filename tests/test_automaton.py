@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import gtmseq
 
 from gtmseq import (
     KappaSpec,
@@ -317,3 +324,50 @@ class TestKernelBruteForceDefinition:
             kernel_brute_force(spec, 2, 4)
         with pytest.raises(WindowExceededError):
             kernel_brute_force(spec, 3, 2)
+
+
+def tuple_grouping(spec, e_max, horizon):
+    """kernel_brute_force's grouping with a tuple key built per column."""
+    word = a_values(spec, np.arange(spec.k**e_max * horizon, dtype=np.int64))
+    groups = {}
+    for e in range(e_max + 1):
+        scale = spec.k**e
+        columns = word[: scale * horizon].reshape(horizon, scale).T
+        for j, column in enumerate(columns):
+            groups.setdefault(tuple(column.tolist()), []).append((e, j))
+    return groups
+
+
+class TestKernelBruteForceGrouping:
+    def test_matches_tuple_grouping(self, rng):
+        for trial in range(40):
+            spec = random_spec(rng, L_max=5, k_max=5, y0_max=3, p_max=3)
+            if trial % 2:
+                spec = redeclared(spec, rng)
+            horizon = rng.choice([1, 2, 7, 64, 300, 1024])
+            e_max = 0
+            while spec.k ** (e_max + 1) * horizon <= 40_000 and e_max < 6:
+                e_max += 1
+            got = kernel_brute_force(spec, e_max, horizon)
+            assert list(got.items()) == list(tuple_grouping(spec, e_max, horizon).items())
+
+    def test_peak_memory_k5(self):
+        # 5**5 * 4096 = 12.8M values: the index and value arrays alone
+        # take 205 MB, and a_values adds only slab-sized work arrays.
+        code = (
+            "import resource\n"
+            "from gtmseq import KappaSpec, kernel_brute_force\n"
+            "spec = KappaSpec(L=3, k=5, preperiod=1, period=2,\n"
+            "                 table=((1, 0, 2), (2, 2, 0), (0, 1, 1), (1, 2, 2)))\n"
+            "print(len(kernel_brute_force(spec, 5, 4096)))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, GTMSEQ_BUDGET="20000000", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(gtmseq.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        groups, maxrss = map(int, child.stdout.split())
+        assert groups == 7
+        # ru_maxrss counts bytes on macOS and KiB elsewhere.
+        assert maxrss / (2**20 if sys.platform == "darwin" else 2**10) <= 300

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from gtmseq import __version__
+from gtmseq import __version__, a_of_n, cli
 from gtmseq.analytic import eval_series
 from gtmseq.cli import main
 from gtmseq.expansion import expand
@@ -252,6 +252,68 @@ class TestCf:
         p1, q1 = map(int, result["convergents"][-1])
         p0, q0 = map(int, result["convergents"][-2])
         assert abs(p1 * q0 - p0 * q1) == 1
+
+    def test_convergent_table_budgeted(self, capsys, monkeypatch):
+        # 5000 quotients fit a budget of 20000 values; their convergents,
+        # about 5000**2 * 2 bits, do not.
+        monkeypatch.setenv("GTMSEQ_BUDGET", "20000")
+        code, out, err = run(capsys, "cf", TM, "0", "1", "--depth", "5000")
+        assert code == 5
+        assert out == ""
+        assert "budget" in err
+
+    def test_default_budget_admits_depth_300(self, capsys):
+        code, out, _ = run(capsys, "cf", TM, "0", "1", "--depth", "300")
+        assert code == 0
+        tm = parse_spec(TM)
+        quotients = [0] + [a_of_n(tm, n) + 1 for n in range(300)]
+        convergents = [(0, 1)]
+        p, q, p_prev, q_prev = 0, 1, 1, 0
+        for a in quotients[1:]:
+            p, p_prev, q, q_prev = a * p + p_prev, p, a * q + q_prev, q
+            convergents.append((p, q))
+        assert json.loads(out)["result"] == {
+            "quotients": quotients,
+            "convergents": [[str(p), str(q)] for p, q in convergents],
+        }
+
+
+class TestParserReuse:
+    """main builds its parser once per process; later calls answer like a first."""
+
+    @staticmethod
+    def call(capsys, *argv, first=False):
+        if first:
+            cli._parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", TM, "--max-states", "7"),
+        ("stammer", TM, "0", "1", "1"),
+        ("gen", TM, "--count", "many"),
+    ])
+    def test_same_argv_twice(self, capsys, argv):
+        first = self.call(capsys, *argv, first=True)
+        for _ in range(2):
+            code, out, err = self.call(capsys, *argv)
+            assert (code, out) == first[:2]
+            if code:
+                assert "error:" in err and err == first[2]
+        assert cli._parser.cache_info().misses == 1
+
+    def test_usage_error_then_valid_call(self, capsys):
+        usage = ("gen", TM, "--count", "many")
+        first_error = self.call(capsys, *usage, first=True)
+        assert first_error[0] == 2 and first_error[1] == ""
+        code, out, _ = self.call(capsys, "classify", TM)
+        assert code == 0
+        assert self.call(capsys, *usage) == first_error
+        assert (code, out) == self.call(capsys, "classify", TM, first=True)[:2]
 
 
 class TestGap:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtmseq import KappaSpec, a_values
+from gtmseq import BudgetExceededError, KappaSpec, a_values, spaced_indices
 from gtmseq.periodicity import (
     NON_PERIODIC,
     PERIODIC,
@@ -253,6 +253,53 @@ class TestAenpScan:
         report = aenp_scan(zero_spec(2, 2), 2, 2, 128)
         assert all(r["period"] == 1 for r in report)
         assert len(report) == 3 * 2
+
+
+def per_window_scan(spec, max_start, max_stride, horizon, max_preperiod, max_period):
+    """aenp_scan with one a_values call per window."""
+    hits = []
+    for stride in range(1, max_stride + 1):
+        for start in range(max_start + 1):
+            window = a_values(spec, spaced_indices(start, stride, horizon))
+            found = brute_force_period(window, max_preperiod, max_period)
+            if found is not None:
+                hits.append({"N": start, "l": stride, "preperiod": found[0], "period": found[1]})
+    return hits
+
+
+def scan_cases(rng):
+    """Random and constructed-periodic specs with small scan grids."""
+    for trial in range(16):
+        if trial % 2:
+            spec, _ = periodic_constructed_spec(rng, L_max=4, k_max=4)
+        else:
+            spec = random_spec(rng, L_max=3, k_max=3, y0_max=1, p_max=2)
+        horizon = rng.choice([8, 40, 128, 256])
+        yield spec, rng.randint(0, 5), rng.randint(1, 5), horizon
+    # 602 windows of 256 values: several batches under any budget.
+    yield periodic_constructed_spec(rng, L_max=4, k_max=4)[0], 300, 2, 256
+
+
+class TestAenpScanBatches:
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_matches_per_window_loop(self, rng, monkeypatch, rows):
+        # A budget of one window (or of three, plus one value) still admits
+        # the scan, which then runs in batches of that many windows.
+        for spec, max_start, max_stride, horizon in scan_cases(rng):
+            if rows:
+                monkeypatch.setenv("GTMSEQ_BUDGET", str(rows * horizon + rows - 1))
+            want = per_window_scan(spec, max_start, max_stride, horizon,
+                                   horizon // 4, horizon // 4)
+            assert aenp_scan(spec, max_start, max_stride, horizon) == want
+
+    def test_window_past_budget_refused(self, tm, monkeypatch):
+        monkeypatch.setenv("GTMSEQ_BUDGET", "127")
+        with pytest.raises(BudgetExceededError):
+            aenp_scan(tm, 2, 2, 128)
+
+    def test_index_reaching_2_63_refused(self, tm):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            aenp_scan(tm, 0, 2**62, 3)
 
 
 def test_verdict_record_shapes(tm):

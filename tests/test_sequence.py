@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtmseq import (
     KappaSpec,
@@ -105,6 +106,96 @@ class TestVectorized:
     def test_rejects_negative(self, tm):
         with pytest.raises(ValueError):
             a_values(tm, [3, -1])
+
+
+def per_digit_values(spec, indices):
+    """a_values one base-k digit per numpy pass: the literal reference."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if idx.min() < 0:
+        raise ValueError("indices must be >= 0")
+    top = int(idx.max())
+    k, L = spec.k, spec.L
+    rem = idx.copy()
+    digit = np.empty_like(rem)
+    acc = np.zeros(idx.shape, dtype=np.int64)
+    col = np.zeros(k, dtype=np.int64)
+    y = 0
+    while top:
+        col[1:] = spec.column(y)
+        np.divmod(rem, k, out=(rem, digit))
+        acc += col[digit]
+        top //= k
+        y += 1
+    return acc % L
+
+
+@st.composite
+def digit_route_cases(draw, window=False):
+    """A spec with k in [2, 7] and L up to 2**57, and an index array.
+
+    The array size sits at, just below or just above a step of the chunk
+    width (size // 32 == k**c for some k**c <= 4096), or is small; the
+    largest index is anywhere up to 2**63 - 1, and is sometimes present.
+    """
+    k = draw(st.integers(2, 7))
+    L = draw(st.one_of(st.integers(2, 12), st.integers(2, 2**57)))
+    if window:
+        y0, p, cols = 0, None, draw(st.integers(1, 12))
+    else:
+        y0, p = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        cols = y0 + p
+    table = tuple(
+        tuple(draw(st.lists(st.integers(0, L - 1), min_size=cols, max_size=cols)))
+        for _ in range(k - 1)
+    )
+    spec = KappaSpec(L=L, k=k, preperiod=y0, period=p, table=table,
+                     window=cols if window else None)
+    steps = [32 * k**c for c in range(1, 13) if k**c <= 4096]
+    size = draw(st.one_of(
+        st.integers(0, 80),
+        st.sampled_from(steps).flatmap(lambda n: st.integers(n - 1, n + 1)),
+    ))
+    top = draw(st.one_of(st.integers(0, 2**16), st.integers(0, 2**63 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    idx = np.random.default_rng(seed).integers(0, top, size=size, endpoint=True)
+    if size and draw(st.booleans()):
+        idx[draw(st.integers(0, size - 1))] = top
+    return spec, idx
+
+
+class TestChunkTables:
+    @settings(max_examples=100, deadline=None)
+    @given(digit_route_cases())
+    def test_matches_per_digit_loop_and_a_of_n(self, case):
+        spec, idx = case
+        got = a_values(spec, idx)
+        assert got.dtype == np.int64 and got.shape == idx.shape
+        assert np.array_equal(got, per_digit_values(spec, idx))
+        for i in range(0, idx.size, max(idx.size // 40, 1)):
+            assert int(got[i]) == a_of_n(spec, int(idx[i]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(digit_route_cases(window=True))
+    def test_finite_window_raises_where_per_digit_loop_does(self, case):
+        spec, idx = case
+        try:
+            want = per_digit_values(spec, idx)
+        except WindowExceededError:
+            with pytest.raises(WindowExceededError):
+                a_values(spec, idx)
+        else:
+            assert np.array_equal(a_values(spec, idx), want)
+
+    def test_slab_boundary(self, rng):
+        spec = random_spec(rng, L_max=7, k_max=7)
+        idx = np.random.default_rng(7).integers(0, 2**63 - 1, size=2**20 + 3, endpoint=True)
+        assert np.array_equal(a_values(spec, idx), per_digit_values(spec, idx))
+
+    def test_matrix_shape_kept(self, tm):
+        idx = np.arange(12).reshape(3, 4)
+        assert np.array_equal(a_values(tm, idx), per_digit_values(tm, idx))
 
 
 class TestEquallySpaced:
