@@ -15,9 +15,9 @@ unity are never materialized.
 ``a_values`` reads c digit positions per pass through chunk tables:
 entry t of a block's table sums kappa over the base-k digits of t at the
 block's positions, so a block costs one divmod by k**c and one gather
-(the last gathers by the quotient).  Slabs of 2**20 indices bound its
-working memory beyond the input and output.  It shares no code with
-``generate_prefix_morphic``, which stays the independent oracle.
+(the last gathers by the quotient).  Slabs of 2**14 indices bound its
+working memory beyond the input and output and keep it in cache.  It
+shares no code with ``generate_prefix_morphic``, the independent oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 _DEFAULT_BUDGET = 8_000_000
-_SLAB = 2**20
+_SLAB = 2**14
 
 
 def word_budget() -> int:

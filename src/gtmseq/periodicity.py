@@ -19,13 +19,18 @@ order of k mod L.
 A itself only needs to range over [0, y0 + p): for A >= y0 the left
 side depends on A through (A - y0) mod p alone, and so does kappa(1, A).
 
-The module also carries the window-scan oracles: a least-period search
-on a finite word (one Knuth-Morris-Pratt border pass) and the grid scan
-over equally spaced subsequences.
+The module also carries the window-scan oracles: a batched least-period
+search over finite words and the grid scan over equally spaced
+subsequences.  With S_j = sum over i < j of u[i] * B**i for the suffix u
+of a word, m = len(u) and the prime P = 2**31 - 1, u has period l only if
+S_m - S_l == B**l * S_{m-l} (mod P).  Each word's least such l is then
+checked exactly, which gives the least N or rejects a hash collision.
+(Wrap-around mod 2**64 is avoided: Thue-Morse blocks collide there.)
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,6 +49,9 @@ __all__ = [
 PERIODIC = "Periodic"
 NON_PERIODIC = "NonPeriodic"
 UNKNOWN = "UnknownUpToBound"
+
+_MODULUS = 2**31 - 1  # P and B of the module docstring
+_BASE = 1_000_003
 
 
 @dataclass(frozen=True)
@@ -156,22 +164,56 @@ def classify_constant(L: int, k: int, kvec) -> PeriodicityVerdict:
     return PeriodicityVerdict(status=PERIODIC, shift=0, period=L, checked_window=1)
 
 
-def _least_period(word: list) -> int:
-    """Least p >= 1 with word[i] == word[i + p] wherever both exist.
+@functools.lru_cache(maxsize=8)
+def _powers(size: int, modulus: int) -> np.ndarray:
+    """_BASE**i mod modulus for i < size, read-only as windows share it."""
+    powers = np.array([1 % modulus], dtype=np.int64)
+    while powers.size < size:
+        powers = np.concatenate((powers, powers * pow(_BASE, powers.size, modulus) % modulus))
+    powers = powers[:size].copy()
+    powers.flags.writeable = False
+    return powers
 
-    That is len(word) minus its longest proper border, read off the
-    Knuth-Morris-Pratt failure function.
+
+def _window_periods(windows: np.ndarray, max_preperiod: int, max_period: int) -> list:
+    """brute_force_period of each row of a 2-D int64 array, in one pass.
+
+    The hash filter and exact check of the module docstring; Python loops
+    only over the rows that verify and over collisions.
     """
-    fail = [0] * len(word)
-    border = 0
-    for i in range(1, len(word)):
-        c = word[i]
-        while border and word[border] != c:
-            border = fail[border - 1]
-        if word[border] == c:
-            border += 1
-        fail[i] = border
-    return max(len(word) - border, 1)
+    rows, n = windows.shape
+    if n < max_preperiod + 2 * max_period:
+        raise ValueError(
+            f"need at least max_preperiod + 2*max_period = "
+            f"{max_preperiod + 2 * max_period} values, got {n}"
+        )
+    first = max(max_preperiod, 0)
+    m, P = max(n - first, 0), _MODULUS
+    # Every l >= m is a period of u, so the least one is at most max(m, 1).
+    ls = np.arange(1, min(max_period, max(m, 1)) + 1)
+    powers = _powers(max(m, ls.size) + 1, P)
+    u = windows[:, first:]
+    if u.min(initial=0) < 0 or u.max(initial=0) >= P:
+        u = u % P
+    sums = np.zeros((rows, m + 1), dtype=np.int64)
+    np.cumsum(u * powers[:m] % P, axis=1, out=sums[:, 1:])
+    clipped = np.minimum(ls, m)
+    gap = sums[:, m:] - sums[:, clipped] - powers[ls] * (sums[:, m - clipped] % P)
+    candidates = gap % P == 0
+    positions, found = np.arange(n), [None] * rows
+    pending = np.flatnonzero(candidates.any(axis=1))
+    while pending.size:
+        l = candidates[pending].argmax(axis=1) + 1
+        word = windows[pending]
+        shifted = np.take_along_axis(word, np.minimum(positions + l[:, None], n - 1), axis=1)
+        mismatch = (shifted != word) & (positions < n - l[:, None])
+        start = (mismatch * (positions + 1)).max(axis=1, initial=0)
+        ok = start <= first
+        for row, N, period in zip(pending[ok].tolist(), start[ok].tolist(), l[ok].tolist()):
+            found[row] = (N, period)
+        candidates[pending, l - 1] = False
+        pending = pending[~ok & candidates[pending].any(axis=1)]
+    return found
 
 
 def brute_force_period(values, max_preperiod: int, max_period: int):
@@ -179,29 +221,15 @@ def brute_force_period(values, max_preperiod: int, max_period: int):
 
     Only 1 <= l <= max_period and 0 <= N <= max(max_preperiod, 0) count.
     An l qualifies exactly when the suffix u from max(max_preperiod, 0)
-    has period l, so the answer's l is u's least period.  If that is at
-    most max_period, it is also the least period of u's first
-    2*max_period values (by Fine and Wilf, two periods p <= q of that
-    prefix have gcd(p, q) as a period, which then divides q), so it is
-    found there and confirmed on all of values with the pass that gives N.
+    has period l.  The hash filter (module docstring) drops only l that
+    are not periods; the least remaining l is checked against all of
+    values, which gives N or exposes a collision, and so on.
 
     A window verdict only: ``None`` means no period up to the bounds, not
     a proof of aperiodicity.
     """
-    arr = np.asarray(values, dtype=np.int64)
-    n = len(arr)
-    if n < max_preperiod + 2 * max_period:
-        raise ValueError(
-            f"need at least max_preperiod + 2*max_period = "
-            f"{max_preperiod + 2 * max_period} values, got {n}"
-        )
-    first = max(max_preperiod, 0)
-    l = _least_period(arr[first : first + 2 * max_period].tolist())
-    if l > max_period:
-        return None
-    mismatches = np.nonzero(arr[l:] != arr[:-l])[0]
-    start = int(mismatches[-1]) + 1 if mismatches.size else 0
-    return (start, l) if start <= first else None
+    windows = np.asarray(values, dtype=np.int64).reshape(1, -1)
+    return _window_periods(windows, max_preperiod, max_period)[0]
 
 
 def aenp_scan(
@@ -214,11 +242,12 @@ def aenp_scan(
 ) -> list[dict]:
     """Scan equally spaced subsequences for window periodicity.
 
-    Runs brute_force_period on the length-``horizon`` window of
+    Finds brute_force_period of the length-``horizon`` window of
     a(N + n*l) for every N <= max_start, 1 <= l <= max_stride.  Returns
     the (l, N)-ordered list of windows found periodic; empty means no
-    equally spaced subsequence looked periodic at this scale.  Windows share
-    ``a_values`` calls in batches of max(min(budget, 2**16) // horizon, 1).
+    equally spaced subsequence looked periodic at this scale.  Windows
+    share one ``a_values`` call and one batched period search per batch
+    of max(min(budget, 2**16) // horizon, 1).
     """
     if max_preperiod is None:
         max_preperiod = horizon // 4
@@ -235,10 +264,10 @@ def aenp_scan(
     while batch := list(itertools.islice(grid, rows)):
         pairs = np.array(batch, dtype=np.int64)
         windows = a_values(spec, pairs[:, 1:] + pairs[:, :1] * steps)
-        for (stride, start), window in zip(batch, windows):
-            found = brute_force_period(window, max_preperiod, max_period)
-            if found is not None:
-                hits.append(
-                    {"N": start, "l": stride, "preperiod": found[0], "period": found[1]}
-                )
+        periods = _window_periods(windows, max_preperiod, max_period)
+        hits += [
+            {"N": start, "l": stride, "preperiod": found[0], "period": found[1]}
+            for (stride, start), found in zip(batch, periods)
+            if found is not None
+        ]
     return hits

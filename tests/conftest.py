@@ -1,8 +1,40 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gtmseq
 from gtmseq import KappaSpec
+
+# Appended to a child's code: prints its peak resident set in KiB.  On
+# Linux ru_maxrss would not do: a child started by vfork and exec keeps
+# the parent's peak there, so the child's own VmHWM is read instead.
+PRINT_PEAK_KIB = (
+    "import resource, sys\n"
+    "try:\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')))\n"
+    "except OSError:\n"
+    "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "          // (2**10 if sys.platform == 'darwin' else 1))  # bytes on macOS\n"
+)
+
+
+def run_child(code, **env):
+    """Run ``code`` in a fresh interpreter on the gtmseq under test.
+
+    Returns its stdout lines and its peak resident set in MB.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(gtmseq.__file__).parents[1]), **env)
+    child = subprocess.run([sys.executable, "-c", code + PRINT_PEAK_KIB], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    *lines, peak_kib = child.stdout.split()
+    return lines, int(peak_kib) / 2**10
 
 
 def make_spec(L, k, preperiod, period, columns, name=None):

@@ -1,12 +1,5 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import gtmseq
 
 from gtmseq import (
     KappaSpec,
@@ -17,7 +10,7 @@ from gtmseq import (
     kernel_explore,
 )
 from gtmseq.errors import WindowExceededError
-from conftest import alternating_spec, random_spec, zero_spec
+from conftest import alternating_spec, random_spec, run_child, zero_spec
 
 
 def state_denotation(spec, state, inputs):
@@ -355,19 +348,11 @@ class TestKernelBruteForceGrouping:
         # 5**5 * 4096 = 12.8M values: the index and value arrays alone
         # take 205 MB, and a_values adds only slab-sized work arrays.
         code = (
-            "import resource\n"
             "from gtmseq import KappaSpec, kernel_brute_force\n"
             "spec = KappaSpec(L=3, k=5, preperiod=1, period=2,\n"
             "                 table=((1, 0, 2), (2, 2, 0), (0, 1, 1), (1, 2, 2)))\n"
             "print(len(kernel_brute_force(spec, 5, 4096)))\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        env = dict(os.environ, GTMSEQ_BUDGET="20000000", OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(gtmseq.__file__).parents[1]))
-        child = subprocess.run([sys.executable, "-c", code], env=env,
-                               capture_output=True, text=True, timeout=300)
-        assert child.returncode == 0, child.stderr
-        groups, maxrss = map(int, child.stdout.split())
-        assert groups == 7
-        # ru_maxrss counts bytes on macOS and KiB elsewhere.
-        assert maxrss / (2**20 if sys.platform == "darwin" else 2**10) <= 300
+        (groups,), peak_mb = run_child(code, GTMSEQ_BUDGET="20000000")
+        assert groups == "7"
+        assert peak_mb <= 300

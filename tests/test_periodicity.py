@@ -3,9 +3,9 @@ from math import lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gtmseq import BudgetExceededError, KappaSpec, a_values, spaced_indices
+from gtmseq import BudgetExceededError, KappaSpec, a_values, periodicity, spaced_indices
 from gtmseq.periodicity import (
     NON_PERIODIC,
     PERIODIC,
@@ -22,6 +22,7 @@ from conftest import (
     periodic_constructed_spec,
     power_residue_cycle,
     random_spec,
+    run_child,
     zero_spec,
 )
 
@@ -255,13 +256,24 @@ class TestAenpScan:
         assert len(report) == 3 * 2
 
 
+def reference_period(values, max_preperiod, max_period):
+    """brute_force_period by its definition: for l ascending, one pass finds
+    the last mismatch of values with its shift by l, hence the least N."""
+    for l in range(1, max_period + 1):
+        mismatch = np.flatnonzero(values[l:] != values[:-l])
+        start = int(mismatch[-1]) + 1 if mismatch.size else 0
+        if start <= max(max_preperiod, 0):
+            return start, l
+    return None
+
+
 def per_window_scan(spec, max_start, max_stride, horizon, max_preperiod, max_period):
-    """aenp_scan with one a_values call per window."""
+    """aenp_scan with one a_values call and one reference_period per window."""
     hits = []
     for stride in range(1, max_stride + 1):
         for start in range(max_start + 1):
             window = a_values(spec, spaced_indices(start, stride, horizon))
-            found = brute_force_period(window, max_preperiod, max_period)
+            found = reference_period(window, max_preperiod, max_period)
             if found is not None:
                 hits.append({"N": start, "l": stride, "preperiod": found[0], "period": found[1]})
     return hits
@@ -280,17 +292,21 @@ def scan_cases(rng):
     yield periodic_constructed_spec(rng, L_max=4, k_max=4)[0], 300, 2, 256
 
 
+def assert_scan_cases_match(rng, monkeypatch, rows):
+    # A budget of one window (or of three, plus one value) still admits
+    # the scan, which then runs in batches of that many windows.
+    for spec, max_start, max_stride, horizon in scan_cases(rng):
+        if rows:
+            monkeypatch.setenv("GTMSEQ_BUDGET", str(rows * horizon + rows - 1))
+        want = per_window_scan(spec, max_start, max_stride, horizon,
+                               horizon // 4, horizon // 4)
+        assert aenp_scan(spec, max_start, max_stride, horizon) == want
+
+
 class TestAenpScanBatches:
     @pytest.mark.parametrize("rows", [None, 1, 3])
     def test_matches_per_window_loop(self, rng, monkeypatch, rows):
-        # A budget of one window (or of three, plus one value) still admits
-        # the scan, which then runs in batches of that many windows.
-        for spec, max_start, max_stride, horizon in scan_cases(rng):
-            if rows:
-                monkeypatch.setenv("GTMSEQ_BUDGET", str(rows * horizon + rows - 1))
-            want = per_window_scan(spec, max_start, max_stride, horizon,
-                                   horizon // 4, horizon // 4)
-            assert aenp_scan(spec, max_start, max_stride, horizon) == want
+        assert_scan_cases_match(rng, monkeypatch, rows)
 
     def test_window_past_budget_refused(self, tm, monkeypatch):
         monkeypatch.setenv("GTMSEQ_BUDGET", "127")
@@ -300,6 +316,18 @@ class TestAenpScanBatches:
     def test_index_reaching_2_63_refused(self, tm):
         with pytest.raises(ValueError, match="2\\*\\*63"):
             aenp_scan(tm, 0, 2**62, 3)
+
+    def test_peak_memory(self):
+        # 32,000 windows in batches of 2**16 // 256 = 256: the indices,
+        # the prefix sums and the candidate matrix of a batch stay small.
+        code = (
+            "from gtmseq import KappaSpec, aenp_scan\n"
+            "tm = KappaSpec(L=2, k=2, preperiod=0, period=1, table=((1,),))\n"
+            "print(len(aenp_scan(tm, 999, 32, 256)))\n"
+        )
+        (hits,), peak_mb = run_child(code, GTMSEQ_BUDGET="8000000")
+        assert hits == "0"
+        assert peak_mb <= 60
 
 
 def test_verdict_record_shapes(tm):
@@ -340,32 +368,40 @@ def period_cases(draw):
     return values, max_preperiod, max_period
 
 
+def assert_matches_literal_definition(case):
+    values, max_preperiod, max_period = case
+    try:
+        want = literal_period(values, max_preperiod, max_period)
+    except ValueError:
+        with pytest.raises(ValueError):
+            brute_force_period(values, max_preperiod, max_period)
+        return
+    assert brute_force_period(values, max_preperiod, max_period) == want
+    assert brute_force_period(np.array(values, dtype=np.int64),
+                              max_preperiod, max_period) == want
+
+
+def assert_every_short_binary_word():
+    # exhaustive over words of length <= 10, with suffixes shorter than
+    # twice the period bound and bounds past the suffix
+    for n in range(11):
+        for word in itertools.product((0, 1), repeat=n):
+            for max_preperiod, max_period in (
+                (-1, (n + 1) // 2), (0, n // 2), (2, (n - 2) // 2), (1, (n - 1) // 3)
+            ):
+                assert brute_force_period(word, max_preperiod, max_period) == (
+                    literal_period(word, max_preperiod, max_period)
+                ), (word, max_preperiod, max_period)
+
+
 class TestBruteForcePeriodDefinition:
     @settings(max_examples=400, deadline=None)
     @given(period_cases())
     def test_matches_literal_definition(self, case):
-        values, max_preperiod, max_period = case
-        try:
-            want = literal_period(values, max_preperiod, max_period)
-        except ValueError:
-            with pytest.raises(ValueError):
-                brute_force_period(values, max_preperiod, max_period)
-            return
-        assert brute_force_period(values, max_preperiod, max_period) == want
-        assert brute_force_period(np.array(values, dtype=np.int64),
-                                  max_preperiod, max_period) == want
+        assert_matches_literal_definition(case)
 
     def test_every_short_binary_word(self):
-        # exhaustive over words of length <= 10, where every border
-        # fallback of the least-period computation occurs
-        for n in range(11):
-            for word in itertools.product((0, 1), repeat=n):
-                for max_preperiod, max_period in (
-                    (-1, (n + 1) // 2), (0, n // 2), (2, (n - 2) // 2), (1, (n - 1) // 3)
-                ):
-                    assert brute_force_period(word, max_preperiod, max_period) == (
-                        literal_period(word, max_preperiod, max_period)
-                    ), (word, max_preperiod, max_period)
+        assert_every_short_binary_word()
 
     def test_edge_bounds(self):
         word = [0, 1, 1] + [2, 0] * 10
@@ -377,3 +413,33 @@ class TestBruteForcePeriodDefinition:
         assert brute_force_period([], -4, 1) == (0, 1)
         with pytest.raises(ValueError):
             brute_force_period(word, 20, 2)
+
+    def test_letters_congruent_mod_hash_modulus(self):
+        # Letters that differ by a multiple of 2**31 - 1 hash alike, so
+        # l = 1 passes the filter and the exact comparison refutes it.
+        for low in (0, 2**57 - 5):
+            assert brute_force_period([low, low + 2**31 - 1] * 20, 4, 8) == (0, 2)
+        word = [7] + [2**57 - 5, 2**57 - 1, 2**57 - 3] * 13
+        assert brute_force_period(word, 4, 8) == (1, 3)
+        assert brute_force_period(word, 0, 8) is None
+
+
+@pytest.fixture
+def forced_collisions(monkeypatch):
+    """Hash modulus 1: every l passes the filter, so verification decides."""
+    monkeypatch.setattr(periodicity, "_MODULUS", 1)
+
+
+class TestForcedCollisions:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(period_cases())
+    def test_matches_literal_definition(self, forced_collisions, case):
+        assert_matches_literal_definition(case)
+
+    def test_every_short_binary_word(self, forced_collisions):
+        assert_every_short_binary_word()
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_scan_matches_per_window_loop(self, forced_collisions, rng, monkeypatch, rows):
+        assert_scan_cases_match(rng, monkeypatch, rows)

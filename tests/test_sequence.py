@@ -190,8 +190,9 @@ class TestChunkTables:
 
     def test_slab_boundary(self, rng):
         spec = random_spec(rng, L_max=7, k_max=7)
-        idx = np.random.default_rng(7).integers(0, 2**63 - 1, size=2**20 + 3, endpoint=True)
-        assert np.array_equal(a_values(spec, idx), per_digit_values(spec, idx))
+        for size in (2**14 + 3, 2**20 + 3):
+            idx = np.random.default_rng(7).integers(0, 2**63 - 1, size=size, endpoint=True)
+            assert np.array_equal(a_values(spec, idx), per_digit_values(spec, idx))
 
     def test_matrix_shape_kept(self, tm):
         idx = np.arange(12).reshape(3, 4)
