@@ -102,10 +102,9 @@ def eval_series(
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     T = _digits_exponent(beta, digits)
-    vals = a_values(spec, spaced_indices(N, l, T))
     numerator = 0
-    for v in vals:
-        numerator = numerator * beta + int(v)
+    for v in a_values(spec, spaced_indices(N, l, T)).tolist():
+        numerator = numerator * beta + v
     lo = Fraction(numerator, beta**T)
     hi = lo + Fraction(1, beta**T)
     return lo, hi
@@ -117,13 +116,14 @@ def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int, A: int) ->
     The subsequence a(N + n*l) inherits the period P = L * k**A, so the
     series telescopes to (sum over one period) / (beta**P - 1).
     """
+    if A < 0:
+        raise ValueError("A must be >= 0")
     if beta < spec.L:
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     P = spec.L * spec.k**A
-    vals = a_values(spec, spaced_indices(N, l, P))
     numerator = 0
-    for v in vals:
-        numerator = numerator * beta + int(v)
+    for v in a_values(spec, spaced_indices(N, l, P)).tolist():
+        numerator = numerator * beta + v
     return Fraction(numerator, beta**P - 1)
 
 
@@ -136,7 +136,7 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int, value_map=None) -> Conv
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     L = spec.L
-    images = None
+    images = range(1, L + 1)
     if value_map is not None:
         # Only a custom map is tabulated, over all L residues.
         check_budget(L)
@@ -147,7 +147,7 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int, value_map=None) -> Conv
             raise ValueError(f"value_map must be injective on [0, {L - 1}]: {images}")
 
     vals = a_values(spec, spaced_indices(N, l, depth)).tolist()
-    quotients = [0] + [v + 1 if images is None else images[v] for v in vals]
+    quotients = [0] + [images[v] for v in vals]
     # p_n, q_n have <= n * bit_length(max quotient) bits: count 64-bit limbs.
     check_budget(depth * depth * max(quotients).bit_length() // 64)
 

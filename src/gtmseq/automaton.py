@@ -25,12 +25,13 @@ materialization stays available as an independent lower-bound oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, WindowExceededError
-from .kappa import KappaSpec, a_values, check_budget, word_budget
+from .errors import WindowExceededError
+from .kappa import KappaSpec, a_values, check_budget
 
 __all__ = [
     "KernelState",
@@ -85,10 +86,9 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     ``max_states`` or a state's column lies past a finite window.  It
     then drops that row with the states it added, so every state but the
     root is the target of a recorded transition.  A closure that grows
-    past ``word_budget()`` states within ``max_states`` raises
-    BudgetExceededError.
+    past ``word_budget()`` states within ``max_states`` fails
+    ``check_budget``.
     """
-    budget = word_budget()
     states = [KernelState(shift=spec.canonical_column(0), offset=0)]
     index = {states[0]: 0}
     transitions: list[tuple[int, ...]] = []
@@ -115,8 +115,7 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
             del states[finished:]
             complete = False
             break
-        if len(states) > budget:
-            raise BudgetExceededError(f"{len(states)} kernel states exceed budget {budget}")
+        check_budget(len(states))
         transitions.append(tuple(row))
     return KernelResult(
         states=tuple(states),
@@ -143,16 +142,13 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     size = spec.k**e_max * horizon
     check_budget(size)
     word = a_values(spec, np.arange(size, dtype=np.int64))
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    # Equal int64 columns have equal bytes: one tuple per distinct column.
-    members: dict[bytes, list[tuple[int, int]]] = {}
+    # Equal int64 columns have equal bytes: group by bytes, then build one
+    # tuple per distinct column.
+    members: defaultdict[bytes, list[tuple[int, int]]] = defaultdict(list)
     for e in range(e_max + 1):
         scale = spec.k**e
         columns = np.ascontiguousarray(word[: scale * horizon].reshape(horizon, scale).T)
         for j, column in enumerate(columns):
-            key = column.tobytes()
-            group = members.get(key)
-            if group is None:
-                group = members[key] = groups[tuple(column.tolist())] = []
-            group.append((e, j))
-    return groups
+            members[column.tobytes()].append((e, j))
+    return {tuple(np.frombuffer(key, dtype=np.int64).tolist()): group
+            for key, group in members.items()}

@@ -50,9 +50,7 @@ exit codes:
 
 
 def _word_str(values) -> str:
-    if all(v < 10 for v in values):
-        return "".join(str(v) for v in values)
-    return " ".join(str(v) for v in values)
+    return ("" if max(values, default=0) < 10 else " ").join(map(str, values))
 
 
 def _gen(spec, args):

@@ -219,8 +219,8 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
 def a_values(spec: KappaSpec, indices) -> np.ndarray:
     """Vectorized a_of_n over an array of non-negative indices.
 
-    Chunk tables (module docstring) of k**c <= min(4096, size // 32)
-    entries, so that no table outgrows a slice of the input.
+    Chunk tables (module docstring) of k**c <= 4096 entries; they stop at
+    the largest index's digit count, so small indices build small tables.
     """
     idx = np.asarray(indices, dtype=np.int64)
     out = np.zeros(idx.size, dtype=np.int64)
@@ -228,7 +228,7 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
         raise ValueError("indices must be >= 0")
     k = spec.k
     width = 1
-    while k ** (width + 1) <= min(4096, idx.size // 32):
+    while k ** (width + 1) <= 4096:
         width += 1
     # Every column is read, so a finite window fails, before any gather.
     tables, top, y = [], int(idx.max(initial=0)), 0
@@ -272,4 +272,4 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:
     """Window of a(start + n*stride) for n = 0..count-1."""
     vals = a_values(spec, spaced_indices(start, stride, count))
-    return SequenceWindow(spec=spec, start=start, stride=stride, values=tuple(int(v) for v in vals))
+    return SequenceWindow(spec=spec, start=start, stride=stride, values=tuple(vals.tolist()))

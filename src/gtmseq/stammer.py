@@ -111,8 +111,7 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     n1 = t * block
     n2 = tp * block
     total = n2 + repeat_len
-    vals = a_values(spec, spaced_indices(N, l, total))
-    vals = tuple(int(v) for v in vals)
+    vals = tuple(a_values(spec, spaced_indices(N, l, total)).tolist())
 
     U = vals[:n1]
     V = vals[n1:n2]

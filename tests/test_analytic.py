@@ -77,6 +77,11 @@ class TestEvalSeries:
         exact = periodic_series_value(zero_spec(2, 2), 0, 1, 2, 0)
         assert exact == 0
 
+    @pytest.mark.parametrize("A", [-1, -3])
+    def test_negative_A_rejected(self, A):
+        with pytest.raises(ValueError, match="A must be >= 0"):
+            periodic_series_value(zero_spec(2, 2), 0, 1, 2, A)
+
     def test_beta_below_L_rejected(self):
         with pytest.raises(ValueError):
             eval_series(constant_spec(4, 2, (3,)), 0, 1, 3, 6)

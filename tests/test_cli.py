@@ -21,6 +21,13 @@ PERIODIC = spec_path("periodic.spec")
 ALTERNATING = spec_path("alternating.spec")
 
 
+def wide_letters_spec(tmp_path):
+    """a(n) = 5 * (binary digit sum of n) mod 12: letters up to 11."""
+    path = tmp_path / "wide_letters.spec"
+    path.write_text("L = 12\nk = 2\npreperiod = 0\nperiod = 1\nkappa =\n5\n")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -133,6 +140,12 @@ class TestGen:
         assert report["result"]["values"] == [0, 1, 1, 0, 1, 0, 0, 1]
         assert report["result"]["agree"] is True
 
+    def test_letters_above_nine_space_separated(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "gen", wide_letters_spec(tmp_path),
+                           "--count", "8", "--mode", "both")
+        assert code == 0
+        assert out == "0 5 5 10 5 10 10 3 AGREE\n"
+
     @pytest.mark.parametrize("mode,expected", [
         ("digit", "\n"), ("morphic", "\n"), ("both", " AGREE\n"),
     ])
@@ -181,6 +194,14 @@ class TestStammer:
         result = report["result"]
         assert result["w_numerator"] > result["w_denominator"]
         assert len(result["V"]) == result["V_length"]
+
+    def test_letters_above_nine_space_separated(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "stammer", wide_letters_spec(tmp_path), "0", "1", "3")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["U"] == "0 5 5 10 5 10 10 3"  # a(0..7)
+        assert result["V"] == "5 10 10 3 10 3 3 8"  # a(8..15)
+        assert (result["U_length"], result["V_length"]) == (8, 8)
 
     def test_periodic_refusal_exit_code(self, capsys):
         code, _, err = run(capsys, "stammer", PERIODIC, "0", "1", "6")

@@ -135,9 +135,9 @@ def per_digit_values(spec, indices):
 def digit_route_cases(draw, window=False):
     """A spec with k in [2, 7] and L up to 2**57, and an index array.
 
-    The array size sits at, just below or just above a step of the chunk
-    width (size // 32 == k**c for some k**c <= 4096), or is small; the
-    largest index is anywhere up to 2**63 - 1, and is sometimes present.
+    The array size is small, or within one of 32 * k**c, a multiple of a
+    chunk-table size k**c <= 4096; the largest index is anywhere up to
+    2**63 - 1, and is sometimes present.
     """
     k = draw(st.integers(2, 7))
     L = draw(st.one_of(st.integers(2, 12), st.integers(2, 2**57)))
