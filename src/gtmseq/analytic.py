@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kappa import KappaSpec, a_values, check_budget, generate_prefix_morphic, spaced_indices
+from .periodicity import classify
 
 __all__ = [
     "TruncatedProductSeries",
@@ -114,12 +115,18 @@ def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int, A: int) ->
     """Closed-form rational value when the sequence has period L * k**A.
 
     The subsequence a(N + n*l) inherits the period P = L * k**A, so the
-    series telescopes to (sum over one period) / (beta**P - 1).
+    series telescopes to (sum over one period) / (beta**P - 1).  Raises
+    ValueError unless ``classify`` finds the spec Periodic at a shift at
+    most A: the criterion at shift A0 holds at every A >= A0, and only
+    then is L * k**A a period.
     """
     if A < 0:
         raise ValueError("A must be >= 0")
     if beta < spec.L:
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
+    verdict = classify(spec)
+    if not (verdict.is_periodic and verdict.shift <= A):
+        raise ValueError(f"criterion fails at shift A = {A}: L * k**A is no period")
     P = spec.L * spec.k**A
     numerator = 0
     for v in a_values(spec, spaced_indices(N, l, P)).tolist():

@@ -141,14 +141,17 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
         raise ValueError("need e_max >= 0 and horizon >= 1")
     size = spec.k**e_max * horizon
     check_budget(size)
-    word = a_values(spec, np.arange(size, dtype=np.int64))
-    # Equal int64 columns have equal bytes: group by bytes, then build one
-    # tuple per distinct column.
+    # Every value lies in [0, L), so the narrowest unsigned dtype holding
+    # L - 1 keeps each value, and equal columns have equal bytes: group by
+    # bytes, then build one tuple per distinct column.
+    word = a_values(spec, np.arange(size, dtype=np.int64)).astype(np.min_scalar_type(spec.L - 1))
+    key = np.dtype((np.void, horizon * word.itemsize))
     members: defaultdict[bytes, list[tuple[int, int]]] = defaultdict(list)
     for e in range(e_max + 1):
         scale = spec.k**e
         columns = np.ascontiguousarray(word[: scale * horizon].reshape(horizon, scale).T)
-        for j, column in enumerate(columns):
-            members[column.tobytes()].append((e, j))
-    return {tuple(np.frombuffer(key, dtype=np.int64).tolist()): group
-            for key, group in members.items()}
+        # One void scalar per row; tolist() gives bytes with trailing NULs kept.
+        for j, column in enumerate(columns.view(key).ravel().tolist()):
+            members[column].append((e, j))
+    return {tuple(np.frombuffer(column, dtype=word.dtype).tolist()): group
+            for column, group in members.items()}

@@ -14,9 +14,12 @@ unity are never materialized.
 
 ``a_values`` reads c digit positions per pass through chunk tables:
 entry t of a block's table sums kappa over the base-k digits of t at the
-block's positions, so a block costs one divmod by k**c and one gather
-(the last gathers by the quotient).  Slabs of 2**14 indices bound its
-working memory beyond the input and output and keep it in cache.  It
+block's positions, so a block costs one floor division by k**c and one
+gather (the last gathers by the quotient).  numpy floors by a scalar
+divisor with libdivide but runs ``%`` and ``divmod`` element by element,
+so the digit is taken as ``rem - quot * k**c`` and every reduction mod L
+as ``x - x // L * L`` (``_reduce_mod``).  Slabs of 2**14 indices bound
+its working memory beyond the input and output and keep it in cache.  It
 shares no code with ``generate_prefix_morphic``, the independent oracle.
 """
 
@@ -201,6 +204,18 @@ class SequenceWindow:
         return len(self.values)
 
 
+def _reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
+    """Reduce the int64 array x mod m >= 1 in place, as x - x // m * m; return x.
+
+    Precondition: every entry is >= m - 2**63.  Then x // m * m, which
+    lies in (x - m, x], cannot wrap, and the result is np.remainder(x, m),
+    without its per-element division (module docstring).  Entries near
+    -2**63 need np.remainder.
+    """
+    x -= x // m * m
+    return x
+
+
 def a_of_n(spec: KappaSpec, n: int) -> int:
     """Digit-counting value: sum of kappa over the expansion terms of n, mod L."""
     if n < 0:
@@ -221,6 +236,8 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
 
     Chunk tables (module docstring) of k**c <= 4096 entries; they stop at
     the largest index's digit count, so small indices build small tables.
+    A slab sums at most 63 entries below L <= 2**57 before its one
+    reduction mod L, so the sum stays below 2**63.
     """
     idx = np.asarray(indices, dtype=np.int64)
     out = np.zeros(idx.size, dtype=np.int64)
@@ -244,10 +261,11 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     for lo in range(0, idx.size if tables else 0, _SLAB):
         acc, rem = out[lo : lo + _SLAB], flat[lo : lo + _SLAB]
         for table in tables[:-1]:
-            rem, digit = np.divmod(rem, table.size)
-            acc += table[digit]
+            quot = rem // table.size
+            acc += table[rem - quot * table.size]
+            rem = quot
         acc += tables[-1][rem]
-        acc %= spec.L
+        _reduce_mod(acc, spec.L)
     return out.reshape(idx.shape)
 
 

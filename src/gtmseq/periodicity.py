@@ -26,6 +26,12 @@ of a word, m = len(u) and the prime P = 2**31 - 1, u has period l only if
 S_m - S_l == B**l * S_{m-l} (mod P).  Each word's least such l is then
 checked exactly, which gives the least N or rejects a hash collision.
 (Wrap-around mod 2**64 is avoided: Thue-Morse blocks collide there.)
+Letters outside [0, P) are first reduced with ``np.remainder``, since
+they may lie near -2**63.  The other reductions mod P (of the terms
+u[i] * B**i, of S_{m-l}, and the test of the difference) take
+``kappa._reduce_mod``: their operands lie in [0, 2**62), in [0, m * P)
+and above -(2**62 + m * P), far from -2**63 for any m that fits in
+memory.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kappa import KappaSpec, a_values, spaced_indices, word_budget
+from .kappa import KappaSpec, _reduce_mod, a_values, spaced_indices, word_budget
 
 __all__ = [
     "PeriodicityVerdict",
@@ -196,10 +202,10 @@ def _window_periods(windows: np.ndarray, max_preperiod: int, max_period: int) ->
     if u.min(initial=0) < 0 or u.max(initial=0) >= P:
         u = u % P
     sums = np.zeros((rows, m + 1), dtype=np.int64)
-    np.cumsum(u * powers[:m] % P, axis=1, out=sums[:, 1:])
+    np.cumsum(_reduce_mod(u * powers[:m], P), axis=1, out=sums[:, 1:])
     clipped = np.minimum(ls, m)
-    gap = sums[:, m:] - sums[:, clipped] - powers[ls] * (sums[:, m - clipped] % P)
-    candidates = gap % P == 0
+    gap = sums[:, m:] - sums[:, clipped] - powers[ls] * _reduce_mod(sums[:, m - clipped], P)
+    candidates = _reduce_mod(gap, P) == 0
     positions, found = np.arange(n), [None] * rows
     pending = np.flatnonzero(candidates.any(axis=1))
     while pending.size:

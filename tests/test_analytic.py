@@ -14,7 +14,7 @@ from gtmseq import (
     periodic_series_value,
     product_coefficients,
 )
-from conftest import constant_spec, random_spec, zero_spec
+from conftest import constant_spec, periodic_constructed_spec, random_spec, zero_spec
 
 
 def direct_partial_sum(spec, N, l, beta, terms):
@@ -81,6 +81,26 @@ class TestEvalSeries:
     def test_negative_A_rejected(self, A):
         with pytest.raises(ValueError, match="A must be >= 0"):
             periodic_series_value(zero_spec(2, 2), 0, 1, 2, A)
+
+    @pytest.mark.parametrize("A", [0, 3])
+    def test_non_periodic_spec_rejected(self, tm, A):
+        # Thue-Morse is not periodic: its series has no closed form (the
+        # unchecked formula gave 1/3 at A = 0 and 106/257 at A = 3).
+        with pytest.raises(ValueError, match="no period"):
+            periodic_series_value(tm, 0, 1, 2, A)
+
+    def test_shift_below_criterion_rejected(self, rng):
+        checked = 0
+        while checked < 5:
+            spec, _ = periodic_constructed_spec(rng, A_max=3)
+            shift = classify(spec).shift
+            if shift == 0:
+                continue
+            checked += 1
+            with pytest.raises(ValueError, match="no period"):
+                periodic_series_value(spec, 1, 2, spec.L, shift - 1)
+            lo, hi = eval_series(spec, 1, 2, spec.L, 8)
+            assert lo <= periodic_series_value(spec, 1, 2, spec.L, shift) <= hi
 
     def test_beta_below_L_rejected(self):
         with pytest.raises(ValueError):

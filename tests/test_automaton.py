@@ -344,6 +344,27 @@ class TestKernelBruteForceGrouping:
             got = kernel_brute_force(spec, e_max, horizon)
             assert list(got.items()) == list(tuple_grouping(spec, e_max, horizon).items())
 
+    @pytest.mark.parametrize("L", [255, 256, 257, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**57])
+    def test_narrow_key_dtypes(self, rng, L):
+        # Keys are min_scalar_type(L - 1) bytes: each L here sits at an edge
+        # of uint8/16/32/64.  Letters include L - 1 and 0, and the zero spec
+        # has only all-NUL keys, which must keep their trailing NUL bytes.
+        specs = [zero_spec(L, 3)]
+        for _ in range(3):
+            k, pre, period = rng.randint(2, 4), rng.randint(0, 2), rng.randint(1, 3)
+            specs.append(KappaSpec(
+                L=L, k=k, preperiod=pre, period=period,
+                table=tuple(tuple(rng.choice([0, L - 1, rng.randrange(L)])
+                                  for _ in range(pre + period)) for _ in range(k - 1)),
+            ))
+        for spec in specs:
+            e_max, horizon = (3 if spec.k < 4 else 2), rng.choice([1, 5, 17])
+            got = list(kernel_brute_force(spec, e_max, horizon).items())
+            assert got == list(tuple_grouping(spec, e_max, horizon).items())
+            assert got == list(brute_force_definition(spec, e_max, horizon).items())
+            for prefix, _ in got:
+                assert len(prefix) == horizon and all(type(v) is int for v in prefix)
+
     def test_peak_memory_k5(self):
         # 5**5 * 4096 = 12.8M values: the index and value arrays alone
         # take 205 MB, and a_values adds only slab-sized work arrays.

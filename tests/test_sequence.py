@@ -11,6 +11,7 @@ from gtmseq import (
     expand,
     generate_prefix_morphic,
 )
+from gtmseq.kappa import _reduce_mod
 from conftest import alternating_spec, constant_spec, random_spec, zero_spec
 
 
@@ -282,3 +283,18 @@ class TestModulusBound:
         n = 2**63 - 1
         assert int(a_values(spec, [n])[0]) == a_of_n(spec, n) == (63 * (L - 1)) % L
         assert generate_prefix_morphic(spec, 3) == [a_of_n(spec, i) for i in range(8)]
+
+    @pytest.mark.parametrize("m, values", [
+        # a_values: slab sums of up to 63 letters below L = 2**57
+        (2**57, [0, 1, 2**57 - 1, 2**57, 63 * (2**57 - 1) - 1, 63 * (2**57 - 1)]),
+        # the window hash: differences down to -(2**62 + 2**47) mod P
+        (2**31 - 1, [-(2**62 + 2**47), -(2**62 + 2**47) + 1, -(2**31 - 1), -1, 0,
+                     2**31 - 2, 2**31 - 1, 2**62 - 1]),
+        (1, [-(2**62), -1, 0, 1, 2**62]),
+    ])
+    def test_reduce_mod_matches_remainder_at_edges(self, m, values):
+        x = np.array(values, dtype=np.int64)
+        want = np.remainder(x, m)
+        got = _reduce_mod(x, m)
+        assert got is x and got.dtype == np.int64
+        assert got.tolist() == want.tolist() == [v % m for v in values]
