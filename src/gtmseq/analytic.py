@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .expansion import expand
 from .kappa import KappaSpec, a_values, check_budget, generate_prefix_morphic, spaced_indices
 from .periodicity import classify
 
@@ -81,14 +82,6 @@ def product_coefficients(spec: KappaSpec, Y: int) -> TruncatedProductSeries:
     return TruncatedProductSeries(L=spec.L, k=spec.k, Y=Y, exponents=tuple(word))
 
 
-def _digits_exponent(beta: int, digits: int) -> int:
-    """Truncation depth T with beta**-T < 10**-digits (crude tail bound)."""
-    c = 1
-    while beta**c < 10:
-        c += 1
-    return digits * c + 2
-
-
 def eval_series(
     spec: KappaSpec, N: int, l: int, beta: int, digits: int
 ) -> tuple[Fraction, Fraction]:
@@ -102,7 +95,8 @@ def eval_series(
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    T = _digits_exponent(beta, digits)
+    # beta**c >= 10 for c, the base-beta length of 9, so beta**-T < 10**-digits.
+    T = digits * expand(9, beta).length + 2
     numerator = 0
     for v in a_values(spec, spaced_indices(N, l, T)).tolist():
         numerator = numerator * beta + v

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import WindowExceededError
-from .kappa import KappaSpec, a_values, check_budget
+from .kappa import KappaSpec, a_values, check_budget, word_budget
 
 __all__ = [
     "KernelState",
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelState:
+class KernelState(NamedTuple):
     """Denotes the function n -> a_shift(n) + offset mod L."""
 
     shift: int
@@ -93,6 +93,7 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     index = {states[0]: 0}
     transitions: list[tuple[int, ...]] = []
     complete = True
+    budget = word_budget()
     for state in states:  # grows while iterated, so the order is breadth-first
         try:
             steps = (0,) + spec.column(state.shift)
@@ -115,7 +116,8 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
             del states[finished:]
             complete = False
             break
-        check_budget(len(states))
+        if len(states) > budget:
+            check_budget(len(states))
         transitions.append(tuple(row))
     return KernelResult(
         states=tuple(states),

@@ -34,7 +34,7 @@ from . import __version__
 from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
 from .errors import GtmseqError
-from .expansion import gap_multiple
+from .expansion import expand, gap_multiple
 from .kappa import equally_spaced, generate_prefix_morphic, spaced_indices
 from .periodicity import classify
 from .specfile import parse_spec
@@ -59,9 +59,7 @@ def _gen(spec, args):
         words.append(list(equally_spaced(spec, args.N, args.l, args.count).values))
     if args.mode != "digit":
         indices = spaced_indices(args.N, args.l, args.count).tolist()
-        m = 0
-        while spec.k**m <= max(indices, default=0):
-            m += 1
+        m = expand(max(indices, default=0), spec.k).length
         word = generate_prefix_morphic(spec, m)
         words.append([word[i] for i in indices])
     result = {"values": words[0]}

@@ -42,6 +42,11 @@ class DigitExpansion:
     def value(self) -> int:
         return sum(s * self.base**w for s, w in self.terms)
 
+    @property
+    def length(self) -> int:
+        """Numeral length: the least m with base**m > value, 0 for zero."""
+        return self.terms[-1][1] + 1 if self.terms else 0
+
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -64,19 +69,21 @@ class GapMultipleResult:
 
 
 def expand(n: int, k: int) -> DigitExpansion:
-    """Base-k expansion of n as (coefficient, exponent) terms."""
+    """Base-k expansion of n as (coefficient, exponent) terms.
+
+    Splits n by k**(2**i), largest i first, not by k once per digit.
+    """
     if k < 2:
         raise ValueError(f"base k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    terms = []
-    w = 0
-    while n:
-        n, s = divmod(n, k)
-        if s:
-            terms.append((s, w))
-        w += 1
-    return DigitExpansion(base=k, terms=tuple(terms))
+    powers = [k]
+    while powers[-1] <= n:
+        powers.append(powers[-1] ** 2)
+    digits = [n]
+    for p in reversed(powers[:-1]):
+        digits = [part for x in digits for part in divmod(x, p)[::-1]]
+    return DigitExpansion(base=k, terms=tuple((s, w) for w, s in enumerate(digits) if s))
 
 
 def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:

@@ -87,7 +87,7 @@ class KappaSpec:
     ``table`` has k-1 rows (s = 1..k-1) and ``preperiod + period``
     columns; column y for y >= preperiod is read from
     ``preperiod + (y - preperiod) % period``.  A finite-window spec has
-    ``period=None`` and exactly ``window`` columns; queries at
+    ``period=None``, preperiod 0 and exactly ``window`` columns; queries at
     y >= window raise WindowExceededError, never extend silently.
 
     The declared (preperiod, period) need not be minimal; columns are
@@ -118,6 +118,8 @@ class KappaSpec:
         if self.period is None:
             if self.window is None or self.window < 1:
                 raise ValueError("finite-window spec needs window >= 1")
+            if self.preperiod:
+                raise ValueError("finite-window spec takes preperiod 0")
             cols = self.window
         else:
             if self.window is not None:

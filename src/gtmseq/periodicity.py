@@ -259,8 +259,6 @@ def aenp_scan(
         max_preperiod = horizon // 4
     if max_period is None:
         max_period = horizon // 4
-    if max_start < 0 or max_stride < 1:
-        return []
     # One window's budget, and the 2**63 check on the largest index.
     spaced_indices(max_start, max_stride, horizon)
     steps = np.arange(horizon, dtype=np.int64)

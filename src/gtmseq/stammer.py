@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import MTooSmallError, PeriodicSpecError
+from .expansion import expand
 from .kappa import KappaSpec, SequenceWindow, a_values, spaced_indices
 from .periodicity import classify
 
@@ -67,11 +68,8 @@ class StammerWitness:
 
 
 def min_legal_m(N: int, l: int, k: int) -> int:
-    """Smallest admissible construction index: M+1 where k**M > 2(N+l)."""
-    M = 0
-    while k**M <= 2 * (N + l):
-        M += 1
-    return M + 1
+    """Smallest admissible construction index: M+1, M the least with k**M > 2(N+l)."""
+    return expand(2 * (N + l), k).length + 1
 
 
 def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:

@@ -9,7 +9,7 @@ from gtmseq import (
     kernel_brute_force,
     kernel_explore,
 )
-from gtmseq.errors import WindowExceededError
+from gtmseq.errors import BudgetExceededError, WindowExceededError
 from conftest import alternating_spec, random_spec, run_child, zero_spec
 
 
@@ -102,6 +102,14 @@ class TestKernelExplore:
         assert result.states == (KernelState(0, 0),)
         assert result.transitions == ()
         assert result.outputs == (0,)
+
+    def test_budget_bounds_states_exactly(self, tm, monkeypatch):
+        # the Thue-Morse closure has 2 states: a budget of 2 admits it, 1 does not
+        monkeypatch.setenv("GTMSEQ_BUDGET", "2")
+        assert len(kernel_explore(tm)) == 2
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1")
+        with pytest.raises(BudgetExceededError, match="2 values exceed budget 1"):
+            kernel_explore(tm)
 
     def test_max_states_drops_unfinished_row(self):
         spec = KappaSpec(L=3, k=3, preperiod=0, period=1, table=((1,), (2,)))

@@ -146,6 +146,19 @@ class TestGen:
         assert code == 0
         assert out == "0 5 5 10 5 10 10 3 AGREE\n"
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_largest_index_at_power_of_k(self, tmp_path, capsys, k):
+        spec = tmp_path / "spec"
+        spec.write_text(f"L = 3\nk = {k}\npreperiod = 0\nperiod = 2\nkappa =\n"
+                        + "1 2\n" * (k - 1))
+        for m in range(1, 6):
+            for count in (k**m, k**m + 1):  # largest index k**m - 1, then k**m
+                code, out, _ = run(capsys, "gen", str(spec), "--count", str(count),
+                                   "--mode", "both")
+                assert code == 0
+                word, tag = out.split()
+                assert (len(word), tag) == (count, "AGREE")
+
     @pytest.mark.parametrize("mode,expected", [
         ("digit", "\n"), ("morphic", "\n"), ("both", " AGREE\n"),
     ])
@@ -171,6 +184,13 @@ class TestClassify:
         report = json.loads(out)
         assert report["result"]["status"] == "Periodic"
         assert report["result"]["period"] == 2
+
+    def test_finite_window_bound(self, tmp_path, capsys):
+        spec = tmp_path / "window.spec"
+        spec.write_text("L = 2\nk = 2\nwindow = 3\nkappa =\n1 1 0\n")
+        code, out, _ = run(capsys, "classify", str(spec))
+        assert code == 0
+        assert json.loads(out)["result"] == {"status": "UnknownUpToBound", "bound": 3}
 
     def test_byte_identical_reruns(self, capsys):
         outs = set()

@@ -1,8 +1,30 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gtmseq.expansion import expand, gap_multiple, gap_multiple_pair
+
+
+def per_digit_terms(n, k):
+    """Expansion terms by one divmod per base-k digit, lowest digit first."""
+    terms = []
+    w = 0
+    while n:
+        n, s = divmod(n, k)
+        if s:
+            terms.append((s, w))
+        w += 1
+    return tuple(terms)
+
+
+def numeral_length(n, k):
+    """Least m with k**m > n."""
+    m = 0
+    while k**m <= n:
+        m += 1
+    return m
 
 
 class TestExpand:
@@ -32,6 +54,22 @@ class TestExpand:
         exp = expand(n, k)
         rebuilt = expand(exp.value(), k)
         assert rebuilt == exp
+
+    @given(st.integers(0, 2**4000), st.integers(2, 10**6))
+    def test_matches_per_digit_loop(self, n, k):
+        exp = expand(n, k)
+        assert exp.terms == per_digit_terms(n, k)
+        assert exp.length == numeral_length(n, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 997, 10**6, 2**61 - 1])
+    def test_powers_of_k_and_neighbours(self, k):
+        # Every split level boundary: k**e has e + 1 digits, k**e - 1 has e
+        # (n = 0 has length 0).
+        for e in range(70):
+            for n in (k**e - 1, k**e, k**e + 1):
+                exp = expand(n, k)
+                assert exp.terms == per_digit_terms(n, k), (n, k)
+                assert exp.length == numeral_length(n, k), (n, k)
 
     def test_nonzero_digit_total(self):
         for n in (0, 1, 17, 255, 3**9 + 5):
@@ -109,6 +147,16 @@ class TestGapMultiple:
                 assert res.expansion.value() == res.x * l
                 assert res.expansion.terms[0] == (1, res.leading_exponent)
                 assert res.gap_exceeds(t)
+
+    def test_deep_witness_within_cpu_bound(self):
+        # one divmod per digit takes about 11 s of CPU on a 2-vCPU host, splitting
+        # by k**(2**i) about 0.2 s
+        started = time.process_time()
+        res = gap_multiple(2, 5, 100_000)
+        assert time.process_time() - started < 3.0
+        assert res.expansion.terms[0] == (1, res.leading_exponent)
+        assert res.gap_exceeds(100_000)
+        assert res.expansion.value() == 2 * res.x
 
     def test_pair_leading_exponents_match(self):
         for l, k, t, t2 in [(3, 2, 1, 4), (1, 3, 0, 0), (12, 6, 2, 5), (35, 2, 3, 0)]:

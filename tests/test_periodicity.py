@@ -313,6 +313,12 @@ class TestAenpScanBatches:
         with pytest.raises(BudgetExceededError):
             aenp_scan(tm, 2, 2, 128)
 
+    @pytest.mark.parametrize("max_start,max_stride", [(-1, 3), (2, 0)])
+    def test_invalid_grid_refused(self, tm, max_start, max_stride):
+        # an empty answer would read as "no window looked periodic"
+        with pytest.raises(ValueError, match="need start >= 0, stride >= 1"):
+            aenp_scan(tm, max_start, max_stride, 8)
+
     def test_index_reaching_2_63_refused(self, tm):
         with pytest.raises(ValueError, match="2\\*\\*63"):
             aenp_scan(tm, 0, 2**62, 3)

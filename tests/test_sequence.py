@@ -252,6 +252,13 @@ class TestFiniteWindow:
         with pytest.raises(ValueError):
             KappaSpec(L=1, k=2, preperiod=0, period=1, table=((0,),))
 
+    @pytest.mark.parametrize("preperiod", [5, 1, -4])
+    def test_window_takes_preperiod_zero(self, preperiod):
+        # spec_to_text writes no preperiod for a window, so none may be kept
+        with pytest.raises(ValueError, match="finite-window spec takes preperiod 0"):
+            KappaSpec(L=2, k=2, preperiod=preperiod, period=None,
+                      table=((1, 1, 1),), window=3)
+
 
 def test_budget_enforced(tm, monkeypatch):
     monkeypatch.setenv("GTMSEQ_BUDGET", "100")
