@@ -23,7 +23,6 @@ __all__ = [
     "GapMultipleResult",
     "expand",
     "gap_multiple",
-    "gap_multiple_pair",
 ]
 
 
@@ -95,7 +94,7 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     H divides a power of k, invert G to D modulo k**(t+1), and return
     the multiple x*l = k**f * (D*G)**2 (or k**f * (1 + k**(t+1)) when
     G = 1), where f is the least exponent with H | k**f.  f does not
-    depend on t, so paired calls share one leading exponent.
+    depend on t, so calls that differ only in t share one leading exponent.
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -135,12 +134,3 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     assert result.gap_exceeds(t)
     return result
 
-
-def gap_multiple_pair(
-    l: int, k: int, t: int, t2: int
-) -> tuple[GapMultipleResult, GapMultipleResult]:
-    """Two gap multiples for thresholds t and t2 sharing one leading exponent."""
-    first = gap_multiple(l, k, t)
-    second = gap_multiple(l, k, t2)
-    assert first.leading_exponent == second.leading_exponent
-    return first, second

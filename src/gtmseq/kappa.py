@@ -58,7 +58,10 @@ def check_budget(count: int) -> None:
     """Raise BudgetExceededError if materializing ``count`` values exceeds word_budget()."""
     budget = word_budget()
     if count > budget:
-        raise BudgetExceededError(f"{count} values exceed budget {budget}")
+        # Python refuses str() of an int past 4,300 digits, so a huge count is given by size.
+        bits = int(count).bit_length()
+        shown = count if bits <= 64 else f"2**{bits - 1} or more"
+        raise BudgetExceededError(f"{shown} values exceed budget {budget}")
 
 
 def spaced_indices(start: int, stride: int, count: int) -> np.ndarray:
@@ -276,7 +279,8 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
 
     Starts from [0]; step y replaces the word w by the k blocks
     w + kappa(s, y) mod L, s = 0..k-1 with kappa(0, y) = 0.  The one
-    substitution kernel: ``product_coefficients`` is its coefficient view.
+    substitution kernel; the word lists the root-of-unity exponents of the
+    coefficients of prod_{y<m} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")

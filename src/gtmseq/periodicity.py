@@ -47,7 +47,6 @@ from .kappa import KappaSpec, _reduce_mod, a_values, spaced_indices, word_budget
 __all__ = [
     "PeriodicityVerdict",
     "classify",
-    "classify_constant",
     "brute_force_period",
     "aenp_scan",
 ]
@@ -147,27 +146,6 @@ def classify(spec: KappaSpec) -> PeriodicityVerdict:
                 checked_window=A + max(y0 - A, 0) + p + 1,
             )
     return PeriodicityVerdict(status=NON_PERIODIC, refutations=tuple(refutations))
-
-
-def classify_constant(L: int, k: int, kvec) -> PeriodicityVerdict:
-    """Periodicity of the y-independent sequence given by kvec = kappa(1..k-1).
-
-    Independent route: periodic iff s*kappa(1) == kappa(s) mod L for all
-    s and kappa(k-1) == 0 mod L.
-    """
-    kvec = tuple(kvec)
-    if len(kvec) != k - 1:
-        raise ValueError(f"kvec must have {k - 1} entries, got {len(kvec)}")
-    for v in kvec:
-        if not 0 <= v < L:
-            raise ValueError(f"kvec entry {v} outside [0, {L - 1}]")
-    for s in range(1, k):
-        if (s * kvec[0]) % L != kvec[s - 1]:
-            return PeriodicityVerdict(status=NON_PERIODIC, refutations=((0, s, 0),))
-    if kvec[k - 2] % L != 0:
-        # kappa(k-1) != 0: the y=1 congruence for s=1 fails at every shift.
-        return PeriodicityVerdict(status=NON_PERIODIC, refutations=((0, 1, 1),))
-    return PeriodicityVerdict(status=PERIODIC, shift=0, period=L, checked_window=1)
 
 
 @functools.lru_cache(maxsize=8)

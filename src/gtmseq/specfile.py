@@ -53,6 +53,8 @@ def parse_spec_text(text: str) -> KappaSpec:
                 raise SpecParseError("kappa marker takes no inline value", line=lineno)
             in_matrix = True
             continue
+        if key in fields:
+            raise SpecParseError(f"repeated key {key!r}", line=lineno)
         if key == "name":
             fields["name"] = value
             continue

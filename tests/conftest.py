@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import gtmseq
-from gtmseq import KappaSpec
+from gtmseq import KappaSpec, PeriodicityVerdict
+from gtmseq.periodicity import NON_PERIODIC, PERIODIC
 
 # Appended to a child's code: prints its peak resident set in KiB.  On
 # Linux ru_maxrss would not do: a child started by vfork and exec keeps
@@ -74,6 +75,47 @@ def power_residue_cycle(k, L):
         seen[v] = y
         v, y = (v * k) % L, y + 1
     return seen[v], y - seen[v]
+
+
+def classify_constant(L, k, kvec):
+    """Periodicity of the y-independent sequence given by kvec = kappa(1..k-1).
+
+    Independent closed-form route: periodic iff s*kappa(1) == kappa(s) mod L
+    for all s and kappa(k-1) == 0 mod L.
+    """
+    kvec = tuple(kvec)
+    if len(kvec) != k - 1:
+        raise ValueError(f"kvec must have {k - 1} entries, got {len(kvec)}")
+    for v in kvec:
+        if not 0 <= v < L:
+            raise ValueError(f"kvec entry {v} outside [0, {L - 1}]")
+    for s in range(1, k):
+        if (s * kvec[0]) % L != kvec[s - 1]:
+            return PeriodicityVerdict(status=NON_PERIODIC, refutations=((0, s, 0),))
+    if kvec[k - 2] % L != 0:
+        # kappa(k-1) != 0: the y=1 congruence for s=1 fails at every shift.
+        return PeriodicityVerdict(status=NON_PERIODIC, refutations=((0, 1, 1),))
+    return PeriodicityVerdict(status=PERIODIC, shift=0, period=L, checked_window=1)
+
+
+def literal_product(spec, Y):
+    """Expand prod_{y<=Y} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)) term by term.
+
+    Returns {exponent of z: exponent c of the root of unity exp(2*pi*i*c/L)},
+    multiplied one factor at a time; asserts that no coefficient of z is
+    written twice, so every coefficient is a single root of unity.
+    """
+    k, L = spec.k, spec.L
+    coefficients = {0: 0}
+    for y in range(Y + 1):
+        terms = [(0, 0)] + [(s * k**y, spec.kappa(s, y)) for s in range(1, k)]
+        product = {}
+        for e, c in coefficients.items():
+            for step, kappa in terms:
+                assert e + step not in product, f"z**{e + step} written twice"
+                product[e + step] = (c + kappa) % L
+        coefficients = product
+    return coefficients
 
 
 def random_spec(rng: random.Random, L_max=6, k_max=5, y0_max=3, p_max=4):

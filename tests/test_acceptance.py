@@ -17,24 +17,23 @@ from gtmseq import (
     a_values,
     build_witness,
     classify,
-    classify_constant,
     equally_spaced,
     eval_cf,
     eval_series,
     expand,
     gap_multiple,
-    gap_multiple_pair,
     generate_prefix_morphic,
     kernel_brute_force,
     kernel_explore,
     min_legal_m,
     periodic_series_value,
-    product_coefficients,
     verify_witness,
 )
 from gtmseq.periodicity import NON_PERIODIC, PERIODIC, aenp_scan, brute_force_period
 from conftest import (
+    classify_constant,
     constant_spec,
+    literal_product,
     periodic_constructed_spec,
     random_spec,
     tm_spec,
@@ -93,11 +92,12 @@ def test_criterion_02_definition_equivalence(report):
 
 def test_criterion_03_generating_function_identity(report):
     for spec in corpus():
-        series = product_coefficients(spec, 5)
-        assert len(series) == spec.k**6
-        expected = a_values(spec, np.arange(len(series)))
-        assert list(series.exponents) == list(expected)
-    report(3, f"{CORPUS_SIZE} specs, all n < k^6, single-exponent coefficients")
+        coefficients = literal_product(spec, 5)
+        assert sorted(coefficients) == list(range(spec.k**6))
+        exponents = [coefficients[n] for n in range(spec.k**6)]
+        assert exponents == generate_prefix_morphic(spec, 6)
+        assert exponents == a_values(spec, np.arange(spec.k**6)).tolist()
+    report(3, f"{CORPUS_SIZE} specs, all n < k^6, literal product = both routes")
 
 
 def test_criterion_04_periodic_side(report):
@@ -166,8 +166,8 @@ def test_criterion_07_gap_multiple(report):
                 assert w0 == result.leading_exponent
                 if len(exp.terms) > 1:
                     assert exp.terms[1][1] - w0 > t
-                pair = gap_multiple_pair(l, k, t, t + 3)
-                assert pair[0].leading_exponent == pair[1].leading_exponent
+                deeper = gap_multiple(l, k, t + 3)
+                assert deeper.leading_exponent == result.leading_exponent
                 cases += 1
     report(7, f"{cases} (l, k, t) triples verified by independent re-expansion")
 

@@ -182,44 +182,6 @@ class TestMinimality:
         assert separated > 0
 
 
-class TestIsNPeriodic:
-    """The minimal (preperiod, period) of the column stream: ``normal_form``."""
-
-    def test_thue_morse(self, tm):
-        assert tm.normal_form == (0, 1)
-
-    def test_reduces_declared_period(self):
-        spec = KappaSpec(L=2, k=2, preperiod=0, period=4, table=((0, 1, 0, 1),))
-        assert spec.normal_form == (0, 2)
-
-    def test_finite_window_absent(self):
-        spec = KappaSpec(L=2, k=2, preperiod=0, period=None, table=((1,),), window=1)
-        assert spec.normal_form is None
-
-    def test_nontrivial_preperiod(self):
-        spec = KappaSpec(L=3, k=2, preperiod=2, period=2, table=((2, 0, 1, 1),))
-        assert spec.normal_form == (2, 1)
-
-    def test_reduces_declared_preperiod(self):
-        spec = KappaSpec(L=2, k=2, preperiod=2, period=1, table=((1, 1, 1),))
-        assert spec.normal_form == (0, 1)
-
-    def test_reduces_preperiod_into_rotated_period(self):
-        # 1, 0, 1, 0, ...: the declared preperiod column starts the cycle
-        spec = KappaSpec(L=2, k=2, preperiod=1, period=2, table=((1, 0, 1),))
-        assert spec.normal_form == (0, 2)
-
-    def test_reduces_both_partially(self):
-        # 2, 0, 1, 0, 1, ...: one column of preperiod is genuine
-        spec = KappaSpec(L=3, k=2, preperiod=3, period=4, table=((2, 0, 1, 0, 1, 0, 1),))
-        assert spec.normal_form == (1, 2)
-
-    def test_multirow_columns_compared_whole(self):
-        # row 1 alone would reduce to (0, 1); row 2 keeps the preperiod
-        spec = KappaSpec(L=2, k=3, preperiod=1, period=1, table=((1, 1), (0, 1)))
-        assert spec.normal_form == (1, 1)
-
-
 class TestKernelBruteForce:
     def test_thue_morse_two_groups(self, tm):
         groups = kernel_brute_force(tm, 6, 2**12)

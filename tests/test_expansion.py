@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gtmseq.expansion import expand, gap_multiple, gap_multiple_pair
+from gtmseq.expansion import expand, gap_multiple
 
 
 def per_digit_terms(n, k):
@@ -159,15 +159,15 @@ class TestGapMultiple:
         assert res.expansion.value() == 2 * res.x
 
     def test_pair_leading_exponents_match(self):
+        # the leading exponent of gap_multiple does not depend on t
         for l, k, t, t2 in [(3, 2, 1, 4), (1, 3, 0, 0), (12, 6, 2, 5), (35, 2, 3, 0)]:
-            first, second = gap_multiple_pair(l, k, t, t2)
+            first, second = gap_multiple(l, k, t), gap_multiple(l, k, t2)
             assert first.leading_exponent == second.leading_exponent
             assert first.gap_exceeds(t)
             assert second.gap_exceeds(t2)
 
     def test_degenerate_pair_same_witness(self):
-        first, second = gap_multiple_pair(1, 3, 0, 0)
-        assert first == second
+        assert gap_multiple(1, 3, 0) == gap_multiple(1, 3, 0)
 
     def test_gcd_split_matches_trial_division(self):
         for k in range(2, 31):

@@ -13,10 +13,10 @@ from gtmseq.periodicity import (
     aenp_scan,
     brute_force_period,
     classify,
-    classify_constant,
 )
 from conftest import (
     alternating_spec,
+    classify_constant,
     constant_spec,
     make_spec,
     periodic_constructed_spec,

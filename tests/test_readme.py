@@ -1,5 +1,11 @@
-"""The README's command-line examples run and print what their comments say."""
+"""The README's examples run and give what their comments say.
 
+The ``sh`` blocks run through ``main``.  The ``python`` library tour runs
+statement by statement; each expression statement ends in a comment that
+leads with a Python literal, its value, which may be followed by prose.
+"""
+
+import ast
 import json
 import shlex
 from importlib import resources
@@ -29,6 +35,41 @@ def readme_commands():
 
 
 COMMANDS = readme_commands()
+
+
+def readme_tour():
+    """Source of the README's one ``python`` block."""
+    lines = README.read_text().splitlines()
+    start = lines.index("```python") + 1
+    return "\n".join(lines[start:lines.index("```", start)])
+
+
+def commented_value(comment):
+    """The shortest run of leading words of ``comment`` that is a Python literal."""
+    words = comment.split()
+    for end in range(1, len(words) + 1):
+        try:
+            return ast.literal_eval(" ".join(words[:end]))
+        except (SyntaxError, ValueError):
+            pass
+    raise AssertionError(f"comment {comment!r} states no value")
+
+
+def test_library_tour_gives_commented_values():
+    source = readme_tour()
+    lines = source.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        _, hash_mark, comment = lines[node.end_lineno - 1].partition("#")
+        assert hash_mark, f"{code} states no value"
+        assert eval(code, namespace) == commented_value(comment), code
+        checked += 1
+    assert checked >= 4
 
 
 def test_every_subcommand_has_an_example():

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtmseq import (
+    BudgetExceededError,
     KappaSpec,
     WindowExceededError,
     a_of_n,
@@ -10,6 +13,8 @@ from gtmseq import (
     equally_spaced,
     expand,
     generate_prefix_morphic,
+    kernel_brute_force,
+    periodic_series_value,
 )
 from gtmseq.kappa import _reduce_mod
 from conftest import alternating_spec, constant_spec, random_spec, zero_spec
@@ -262,10 +267,62 @@ class TestFiniteWindow:
 
 def test_budget_enforced(tm, monkeypatch):
     monkeypatch.setenv("GTMSEQ_BUDGET", "100")
-    from gtmseq.errors import BudgetExceededError
-
     with pytest.raises(BudgetExceededError):
         generate_prefix_morphic(tm, 10)
+
+
+class TestNormalForm:
+    """The minimal (preperiod, period) of the column stream: ``normal_form``."""
+
+    def test_thue_morse(self, tm):
+        assert tm.normal_form == (0, 1)
+
+    def test_reduces_declared_period(self):
+        spec = KappaSpec(L=2, k=2, preperiod=0, period=4, table=((0, 1, 0, 1),))
+        assert spec.normal_form == (0, 2)
+
+    def test_finite_window_absent(self):
+        spec = KappaSpec(L=2, k=2, preperiod=0, period=None, table=((1,),), window=1)
+        assert spec.normal_form is None
+
+    def test_nontrivial_preperiod(self):
+        spec = KappaSpec(L=3, k=2, preperiod=2, period=2, table=((2, 0, 1, 1),))
+        assert spec.normal_form == (2, 1)
+
+    def test_reduces_declared_preperiod(self):
+        spec = KappaSpec(L=2, k=2, preperiod=2, period=1, table=((1, 1, 1),))
+        assert spec.normal_form == (0, 1)
+
+    def test_reduces_preperiod_into_rotated_period(self):
+        # 1, 0, 1, 0, ...: the declared preperiod column starts the cycle
+        spec = KappaSpec(L=2, k=2, preperiod=1, period=2, table=((1, 0, 1),))
+        assert spec.normal_form == (0, 2)
+
+    def test_reduces_both_partially(self):
+        # 2, 0, 1, 0, 1, ...: one column of preperiod is genuine
+        spec = KappaSpec(L=3, k=2, preperiod=3, period=4, table=((2, 0, 1, 0, 1, 0, 1),))
+        assert spec.normal_form == (1, 2)
+
+    def test_multirow_columns_compared_whole(self):
+        # row 1 alone would reduce to (0, 1); row 2 keeps the preperiod
+        spec = KappaSpec(L=2, k=3, preperiod=1, period=1, table=((1, 1), (0, 1)))
+        assert spec.normal_form == (1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tm: kernel_brute_force(tm, 10**5, 1),
+    lambda tm: generate_prefix_morphic(tm, 20000),
+    lambda tm: periodic_series_value(zero_spec(), 0, 1, 2, 10**6),
+], ids=["kernel_brute_force", "generate_prefix_morphic", "periodic_series_value"])
+def test_budget_refuses_counts_past_str_digit_cap(tm, call):
+    # these counts have over 4,300 decimal digits, which str() refuses by default
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(BudgetExceededError, match=r"^2\*\*\d+ or more values exceed budget"):
+            call(tm)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_eventual_period_lookup():

@@ -79,3 +79,9 @@ class TestParseErrors:
         with pytest.raises(SpecParseError) as exc:
             parse_spec_text("L = two\nk = 2\nperiod = 1\nkappa =\n1\n")
         assert exc.value.line == 1
+
+    def test_repeated_key_names_its_line(self):
+        with pytest.raises(SpecParseError, match="repeated key 'L'") as exc:
+            parse_spec_text("L = 2\nk = 2\nL = 3\nperiod = 1\nkappa =\n1\n")
+        assert exc.value.line == 3
+        assert exc.value.exit_code == 2
