@@ -19,8 +19,10 @@ and the states differ at n = s * k**w for an s with kappa(s, w + c) !=
 kappa(s, w + c').  Digits are read least significant first and a
 trailing 0 digit never changes the output, so Moore equivalence is
 equality of the functions, and a complete closure has exactly as many
-states as the k-kernel has elements.  The literal subsequence
-materialization stays available as an independent lower-bound oracle.
+states as the k-kernel has elements.  ``kernel_brute_force`` computes
+every value of every subsequence up to a horizon and groups equal ones,
+an independent lower-bound oracle: it sums digit-route values a(j) +
+a(k**e * n) and never reads the (shift, offset) states.
 """
 
 from __future__ import annotations
@@ -134,26 +136,36 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     bound on the kernel size.  Returns {prefix: [(e, j), ...]} with
     prefixes as tuples of ints, in first-seen order (e, then j).
 
-    One digit-route word a(0 .. k**e_max * horizon - 1) holds them all:
-    for n < horizon and j < k**e the index k**e * n + j runs over the
-    first k**e * horizon indices in row-major order, so column j of that
-    prefix read as a (horizon, k**e) matrix is the subsequence (e, j).
+    For j < k**e the digits of j and of k**e * n lie at disjoint
+    positions, so a(k**e * n + j) = a(j) + a(k**e * n) mod L: two digit-
+    route calls, the heads a(j) for j < k**e_max and the tails a(k**e * n)
+    for e <= e_max and n < horizon, give every value, and level e is
+    their outer sum, a (k**e, horizon) matrix whose row j is the
+    subsequence (e, j).  Together the calls read the digit positions of
+    k**e_max * horizon - 1, the largest index of the subsequences, so a
+    finite window fails exactly when that index has more digits than it.
     """
     if e_max < 0 or horizon < 1:
         raise ValueError("need e_max >= 0 and horizon >= 1")
-    size = spec.k**e_max * horizon
-    check_budget(size)
+    k, L = spec.k, spec.L
+    check_budget(k**e_max * horizon)
+    # Sums lie in [0, 2L - 2].  In an unsigned dtype holding 2L - 2, x - L
+    # wraps above x when x < L, so min(x, x - L) is x mod L.
+    wide = np.min_scalar_type(2 * L - 2)
+    powers = k ** np.arange(e_max + 1, dtype=np.int64)
+    heads = a_values(spec, np.arange(k**e_max, dtype=np.int64)).astype(wide)
+    tails = a_values(spec, np.multiply.outer(powers, np.arange(horizon, dtype=np.int64))).astype(wide)
     # Every value lies in [0, L), so the narrowest unsigned dtype holding
-    # L - 1 keeps each value, and equal columns have equal bytes: group by
-    # bytes, then build one tuple per distinct column.
-    word = a_values(spec, np.arange(size, dtype=np.int64)).astype(np.min_scalar_type(spec.L - 1))
-    key = np.dtype((np.void, horizon * word.itemsize))
+    # L - 1 keeps each value, and equal rows have equal bytes: group by
+    # bytes, then build one tuple per distinct row.
+    narrow = np.min_scalar_type(L - 1)
+    key = np.dtype((np.void, horizon * narrow.itemsize))
     members: defaultdict[bytes, list[tuple[int, int]]] = defaultdict(list)
     for e in range(e_max + 1):
-        scale = spec.k**e
-        columns = np.ascontiguousarray(word[: scale * horizon].reshape(horizon, scale).T)
+        rows = np.add.outer(heads[: k**e], tails[e])
+        np.minimum(rows, rows - L, out=rows)
         # One void scalar per row; tolist() gives bytes with trailing NULs kept.
-        for j, column in enumerate(columns.view(key).ravel().tolist()):
-            members[column].append((e, j))
-    return {tuple(np.frombuffer(column, dtype=word.dtype).tolist()): group
-            for column, group in members.items()}
+        for j, row in enumerate(rows.astype(narrow, copy=False).view(key).ravel().tolist()):
+            members[row].append((e, j))
+    return {tuple(np.frombuffer(row, dtype=narrow).tolist()): group
+            for row, group in members.items()}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtmseq import (
     KappaSpec,
@@ -289,6 +290,45 @@ class TestKernelBruteForceDefinition:
             kernel_brute_force(spec, 3, 2)
 
 
+# Each L sits where 2L - 2 needs a wider unsigned dtype than L - 1 (or
+# just below or above such an edge): the sums a(j) + a(k**e * n) are
+# reduced there by wrap-around.
+EDGE_MODULI = [2, 3, 127, 128, 129, 255, 256, 257, 2**15, 2**15 + 1,
+               2**31, 2**31 + 1, 2**57]
+
+
+@st.composite
+def brute_force_cases(draw):
+    """(spec, e_max, horizon): periodic or finite-window, L at a dtype edge."""
+    L, k = draw(st.sampled_from(EDGE_MODULI)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        y0, p, cols = 0, None, draw(st.integers(1, 5))
+    else:
+        y0, p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+        cols = y0 + p
+    letters = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    table = tuple(
+        tuple(draw(st.lists(letters, min_size=cols, max_size=cols))) for _ in range(k - 1)
+    )
+    spec = KappaSpec(L=L, k=k, preperiod=y0, period=p, table=table,
+                     window=None if p else cols)
+    return spec, draw(st.integers(0, 4 if k == 2 else 3)), draw(st.integers(1, 12))
+
+
+class TestKernelBruteForceProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(brute_force_cases())
+    def test_matches_definition(self, case):
+        spec, e_max, horizon = case
+        try:
+            want = brute_force_definition(spec, e_max, horizon)
+        except WindowExceededError:
+            with pytest.raises(WindowExceededError):
+                kernel_brute_force(spec, e_max, horizon)
+        else:
+            assert list(kernel_brute_force(spec, e_max, horizon).items()) == list(want.items())
+
+
 def tuple_grouping(spec, e_max, horizon):
     """kernel_brute_force's grouping with a tuple key built per column."""
     word = a_values(spec, np.arange(spec.k**e_max * horizon, dtype=np.int64))
@@ -313,6 +353,16 @@ class TestKernelBruteForceGrouping:
                 e_max += 1
             got = kernel_brute_force(spec, e_max, horizon)
             assert list(got.items()) == list(tuple_grouping(spec, e_max, horizon).items())
+        # The oracle_scan brute-force shapes for k = 2 and k = 5, past the
+        # sizes that the loop above reaches.
+        for trial, (k, e_max, horizon) in enumerate([(2, 9, 64), (5, 4, 83)] * 2):
+            L, pre, period = rng.randint(2, 5), rng.randint(0, 3), rng.randint(1, 3)
+            spec = KappaSpec(L=L, k=k, preperiod=pre, period=period, table=tuple(
+                tuple(rng.randrange(L) for _ in range(pre + period)) for _ in range(k - 1)))
+            if trial >= 2:
+                spec = redeclared(spec, rng)
+            got = kernel_brute_force(spec, e_max, horizon)
+            assert list(got.items()) == list(tuple_grouping(spec, e_max, horizon).items())
 
     @pytest.mark.parametrize("L", [255, 256, 257, 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**57])
     def test_narrow_key_dtypes(self, rng, L):
@@ -335,15 +385,29 @@ class TestKernelBruteForceGrouping:
             for prefix, _ in got:
                 assert len(prefix) == horizon and all(type(v) is int for v in prefix)
 
-    def test_peak_memory_k5(self):
-        # 5**5 * 4096 = 12.8M values: the index and value arrays alone
-        # take 205 MB, and a_values adds only slab-sized work arrays.
+    @staticmethod
+    def peak_memory_k5(L):
+        """Group count and peak MB of kernel_brute_force(k = 5 spec, 5, 4096)."""
         code = (
             "from gtmseq import KappaSpec, kernel_brute_force\n"
-            "spec = KappaSpec(L=3, k=5, preperiod=1, period=2,\n"
+            f"spec = KappaSpec(L={L}, k=5, preperiod=1, period=2,\n"
             "                 table=((1, 0, 2), (2, 2, 0), (0, 1, 1), (1, 2, 2)))\n"
             "print(len(kernel_brute_force(spec, 5, 4096)))\n"
         )
         (groups,), peak_mb = run_child(code, GTMSEQ_BUDGET="20000000")
-        assert groups == "7"
-        assert peak_mb <= 300
+        return int(groups), peak_mb
+
+    def test_peak_memory_k5(self):
+        # 5**5 * 4096 = 12.8M values, but the digit route computes only
+        # 5**5 + 6 * 4096 of them; the largest level's outer sum and its
+        # wrap-around difference take 26 MB in uint8.
+        groups, peak_mb = self.peak_memory_k5(3)
+        assert groups == 7
+        assert peak_mb <= 100
+
+    def test_peak_memory_k5_uint16_keys(self):
+        # L = 300 sums in uint16, which is also the key dtype, so the
+        # largest level takes 51 MB and is keyed without a narrowing copy.
+        groups, peak_mb = self.peak_memory_k5(300)
+        assert groups == 21
+        assert peak_mb <= 100
