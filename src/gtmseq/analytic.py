@@ -37,14 +37,13 @@ class ConvergentList:
         p, q = self.convergents[-1]
         return Fraction(p, q)
 
-    def __len__(self) -> int:
-        return len(self.quotients)
-
 
 def _horner_numerator(spec: KappaSpec, N: int, l: int, beta: int, count: int) -> int:
     """sum_{n<count} a(N + n*l) * beta**(count-1-n), by Horner's rule."""
+    indices = spaced_indices(N, l, count)
+    check_budget(count * -(-beta.bit_length() // 64))  # count digits of ceil(bits/64) words
     numerator = 0
-    for v in a_values(spec, spaced_indices(N, l, count)).tolist():
+    for v in a_values(spec, indices).tolist():
         numerator = numerator * beta + v
     return numerator
 
@@ -69,23 +68,21 @@ def eval_series(
     return lo, hi
 
 
-def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int, A: int) -> Fraction:
-    """Closed-form rational value when the sequence has period L * k**A.
+def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int) -> Fraction:
+    """Closed-form rational value of the series of a periodic spec.
 
-    The subsequence a(N + n*l) inherits the period P = L * k**A, so the
-    series telescopes to (sum over one period) / (beta**P - 1).  Raises
-    ValueError unless ``classify`` finds the spec Periodic at a shift at
-    most A: the criterion at shift A0 holds at every A >= A0, and only
-    then is L * k**A a period.
+    ``classify`` finds the least shift A at which the criterion holds,
+    and then P = L * k**A is a period.  The subsequence a(N + n*l)
+    inherits it, so the series telescopes to (sum over one period) /
+    (beta**P - 1); any multiple of P would give the same Fraction.
+    Raises ValueError unless the spec is Periodic.
     """
-    if A < 0:
-        raise ValueError("A must be >= 0")
     if beta < spec.L:
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     verdict = classify(spec)
-    if not (verdict.is_periodic and verdict.shift <= A):
-        raise ValueError(f"criterion fails at shift A = {A}: L * k**A is no period")
-    P = spec.L * spec.k**A
+    if not verdict.is_periodic:
+        raise ValueError(f"classify found the spec {verdict.status}, so it gives no period")
+    P = verdict.period
     return Fraction(_horner_numerator(spec, N, l, beta, P), beta**P - 1)
 
 

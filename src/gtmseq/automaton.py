@@ -70,14 +70,6 @@ class KernelResult:
     def __len__(self) -> int:
         return len(self.states)
 
-    def to_record(self) -> dict:
-        return {
-            "states": [{"shift": s.shift, "offset": s.offset} for s in self.states],
-            "transitions": [list(row) for row in self.transitions],
-            "outputs": list(self.outputs),
-            "complete": self.complete,
-        }
-
 
 def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     """Close the kernel under the k digit-refinement maps from (0, 0).

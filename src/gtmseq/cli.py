@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands wrap the library modules one-to-one.  ``main`` is the one
-report path: it parses the spec file, calls the subcommand's
-``(spec, args) -> result`` function and prints the result as a
-deterministic JSON report on stdout, whose ``parameters`` are the parsed
-arguments (wall time goes to stderr so identical inputs give
-byte-identical output).  Exact answers print whole, however many digits
-they have.  Exit codes:
+Subcommands wrap the library modules one-to-one, and each one's
+``(spec, args) -> result`` function here writes its record, so the
+report schema lives in this module.  ``main`` is the one report path:
+it parses the spec file (``gap`` has none), calls that function and
+prints a deterministic JSON report on stdout (``gen`` without ``--json``
+prints its word line), whose ``parameters`` are the parsed arguments;
+wall time goes to stderr.  Exact answers print whole.  Exit codes:
 
     0  success
     2  spec-file parse error / bad usage, including an unreadable spec
@@ -16,7 +16,8 @@ they have.  Exit codes:
     4  finite-window spec queried beyond its window
     5  memory budget exceeded: every word, window, index array,
        kernel closure or convergent table is checked against the
-       GTMSEQ_BUDGET environment variable
+       GTMSEQ_BUDGET environment variable; a digit of an ``eval``
+       numerator or ``gap`` witness counts ceil(bits(base) / 64) words
     6  stammering index m below the legal minimum
 
 Each library error carries its exit code as ``exit_code``.
@@ -45,7 +46,8 @@ exit codes:
   0 success; 2 parse error or bad usage (also out-of-range integers and
   L > 2**57); 3 periodic-refusal; 4 window-exceeded;
   5 budget-exceeded (every allocation is checked against GTMSEQ_BUDGET;
-  set it to raise the memory budget); 6 stammering index below minimum
+  set it to raise the memory budget; eval and gap count each digit of a
+  base beta or k as ceil(bits / 64) words); 6 stammering index below minimum
 """
 
 
@@ -71,6 +73,26 @@ def _gen(spec, args):
     if "agree" in result:
         line += " AGREE" if result["agree"] else " DISAGREE"
     return line
+
+
+def _classify(spec, args):
+    verdict = classify(spec)
+    if verdict.is_periodic:
+        return {"status": verdict.status, "A": verdict.shift, "period": verdict.period,
+                "checked_window": verdict.checked_window}
+    if verdict.is_non_periodic:
+        return {"status": verdict.status, "refutations": [list(r) for r in verdict.refutations]}
+    return {"status": verdict.status, "bound": verdict.bound}
+
+
+def _kernel(spec, args):
+    result = kernel_explore(spec, args.max_states)
+    return {
+        "states": [{"shift": s.shift, "offset": s.offset} for s in result.states],
+        "transitions": [list(row) for row in result.transitions],
+        "outputs": list(result.outputs),
+        "complete": result.complete,
+    }
 
 
 def _stammer(spec, args):
@@ -148,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="decide ultimate periodicity")
     p.add_argument("specfile")
-    p.set_defaults(func=lambda spec, args: classify(spec).to_record())
+    p.set_defaults(func=_classify)
 
     p = sub.add_parser("stammer", help="build a stammering witness")
     p.add_argument("specfile")
@@ -160,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="explore the k-kernel DFAO")
     p.add_argument("specfile")
     p.add_argument("--max-states", type=int, default=4096)
-    p.set_defaults(func=lambda spec, args: kernel_explore(spec, args.max_states).to_record())
+    p.set_defaults(func=_kernel)
 
     p = sub.add_parser("eval", help="evaluate the series sum a(N+nl)/beta^(n+1)")
     p.add_argument("specfile")

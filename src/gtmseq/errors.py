@@ -22,8 +22,6 @@ class GtmseqError(Exception):
 class SpecParseError(GtmseqError):
     """A spec file could not be parsed; carries the offending line number."""
 
-    exit_code = 2
-
     def __init__(self, message, line=None):
         self.line = line
         if line is not None:

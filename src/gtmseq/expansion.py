@@ -46,25 +46,22 @@ class DigitExpansion:
         """Numeral length: the least m with base**m > value, 0 for zero."""
         return self.terms[-1][1] + 1 if self.terms else 0
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 @dataclass(frozen=True)
 class GapMultipleResult:
     """Witness multiple x*l with leading digit 1 and a gap above it.
 
     ``gap`` is the distance between the two lowest occupied positions;
-    ``None`` stands for +infinity (single-term expansion).
+    the expansion always has a second term (see ``gap_multiple``).
     """
 
     x: int
     expansion: DigitExpansion
     leading_exponent: int
-    gap: int | None
+    gap: int
 
     def gap_exceeds(self, t: int) -> bool:
-        return self.gap is None or self.gap > t
+        return self.gap > t
 
 
 def expand(n: int, k: int) -> DigitExpansion:
@@ -95,6 +92,9 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     the multiple x*l = k**f * (D*G)**2 (or k**f * (1 + k**(t+1)) when
     G = 1), where f is the least exponent with H | k**f.  f does not
     depend on t, so calls that differ only in t share one leading exponent.
+    A second term always exists: 1 + k**(t+1) has it at t + 1, and else
+    D*G = 1 + c * k**(t+1) with c >= 1, so (D*G)**2 - 1 is a positive
+    multiple of k**(t+1).
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
@@ -102,8 +102,8 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
         raise ValueError(f"k must be >= 2, got {k}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    # x*l = k**f * (D*G)**2 with D < k**(t+1): D*D alone has 2*(t+1) base-k digits
-    check_budget(2 * (t + 1))
+    # D*D < k**(2*(t+1)): 2*(t+1) base-k digits of ceil(bits(k) / 64) 64-bit words
+    check_budget(2 * (t + 1) * -(-k.bit_length() // 64))
 
     # Strip from G every prime it shares with k; H = l // G is built from k's primes.
     G = l
@@ -129,7 +129,7 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     exp = expand(x * l, k)
     lead_s, lead_w = exp.terms[0]
     assert lead_s == 1, "constructive witness must have leading coefficient 1"
-    gap = exp.terms[1][1] - lead_w if len(exp.terms) > 1 else None
+    gap = exp.terms[1][1] - lead_w
     result = GapMultipleResult(x=x, expansion=exp, leading_exponent=lead_w, gap=gap)
     assert result.gap_exceeds(t)
     return result

@@ -198,9 +198,8 @@ class KappaSpec:
 
 @dataclass(frozen=True)
 class SequenceWindow:
-    """Equally spaced slice values[n] = a(start + n*stride)."""
+    """Equally spaced slice values[n] = a(start + n*stride) of some spec's sequence."""
 
-    spec: KappaSpec
     start: int
     stride: int
     values: tuple[int, ...]
@@ -296,4 +295,4 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:
     """Window of a(start + n*stride) for n = 0..count-1."""
     vals = a_values(spec, spaced_indices(start, stride, count))
-    return SequenceWindow(spec=spec, start=start, stride=stride, values=tuple(vals.tolist()))
+    return SequenceWindow(start=start, stride=stride, values=tuple(vals.tolist()))

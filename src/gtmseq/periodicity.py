@@ -87,19 +87,6 @@ class PeriodicityVerdict:
     def is_non_periodic(self) -> bool:
         return self.status == NON_PERIODIC
 
-    def to_record(self) -> dict:
-        """JSON-ready record for the CLI."""
-        rec: dict = {"status": self.status}
-        if self.status == PERIODIC:
-            rec["A"] = self.shift
-            rec["period"] = self.period
-            rec["checked_window"] = self.checked_window
-        elif self.status == NON_PERIODIC:
-            rec["refutations"] = [list(r) for r in self.refutations]
-        else:
-            rec["bound"] = self.bound
-        return rec
-
 
 def classify(spec: KappaSpec) -> PeriodicityVerdict:
     """Decide ultimate periodicity of the spec's sequence.

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from gtmseq import (
+    BudgetExceededError,
+    KappaSpec,
+    a_of_n,
     a_values,
     classify,
     eval_cf,
@@ -26,8 +29,6 @@ def direct_partial_sum(spec, N, l, beta, terms):
     """Independent term-by-term Fraction accumulation."""
     total = Fraction(0)
     for n in range(terms):
-        from gtmseq import a_of_n
-
         total += Fraction(a_of_n(spec, N + n * l), beta ** (n + 1))
     return total
 
@@ -96,30 +97,31 @@ class TestEvalSeries:
 
     def test_periodic_closed_form(self):
         spec = constant_spec(2, 3, (1, 0))
-        verdict = classify(spec)
-        assert verdict.is_periodic
+        assert classify(spec).is_periodic
         for N, l in [(0, 1), (2, 3), (1, 2)]:
             lo, hi = eval_series(spec, N, l, 3, 10)
-            exact = periodic_series_value(spec, N, l, 3, verdict.shift)
+            exact = periodic_series_value(spec, N, l, 3)
             assert lo <= exact <= hi
 
     def test_zero_spec_closed_form(self):
-        exact = periodic_series_value(zero_spec(2, 2), 0, 1, 2, 0)
+        exact = periodic_series_value(zero_spec(2, 2), 0, 1, 2)
         assert exact == 0
 
-    @pytest.mark.parametrize("A", [-1, -3])
-    def test_negative_A_rejected(self, A):
-        with pytest.raises(ValueError, match="A must be >= 0"):
-            periodic_series_value(zero_spec(2, 2), 0, 1, 2, A)
+    @pytest.mark.parametrize("N", [0, 3])
+    def test_non_periodic_spec_rejected(self, tm, N):
+        # Thue-Morse is not periodic: its series has no closed form from any N
+        with pytest.raises(ValueError, match="NonPeriodic, so it gives no period"):
+            periodic_series_value(tm, N, 1, 2)
 
-    @pytest.mark.parametrize("A", [0, 3])
-    def test_non_periodic_spec_rejected(self, tm, A):
-        # Thue-Morse is not periodic: its series has no closed form (the
-        # unchecked formula gave 1/3 at A = 0 and 106/257 at A = 3).
-        with pytest.raises(ValueError, match="no period"):
-            periodic_series_value(tm, 0, 1, 2, A)
+    def test_finite_window_spec_rejected(self):
+        # UnknownUpToBound: the window decides nothing, so no period is claimed
+        spec = KappaSpec(L=2, k=2, preperiod=0, period=None, window=4, table=((0, 0, 0, 0),))
+        with pytest.raises(ValueError, match="UnknownUpToBound, so it gives no period"):
+            periodic_series_value(spec, 0, 1, 2)
 
     def test_shift_below_criterion_rejected(self, rng):
+        # The sum runs over one period L * k**shift at classify's least shift;
+        # a period k times longer telescopes to the same value.
         checked = 0
         while checked < 5:
             spec, _ = periodic_constructed_spec(rng, A_max=3)
@@ -127,10 +129,22 @@ class TestEvalSeries:
             if shift == 0:
                 continue
             checked += 1
-            with pytest.raises(ValueError, match="no period"):
-                periodic_series_value(spec, 1, 2, spec.L, shift - 1)
+            value = periodic_series_value(spec, 1, 2, spec.L)
             lo, hi = eval_series(spec, 1, 2, spec.L, 8)
-            assert lo <= periodic_series_value(spec, 1, 2, spec.L, shift) <= hi
+            assert lo <= value <= hi
+            P = spec.L * spec.k ** (shift + 1)
+            numerator = 0
+            for n in range(P):
+                numerator = numerator * spec.L + a_of_n(spec, 1 + 2 * n)
+            assert value == Fraction(numerator, spec.L**P - 1)
+
+    def test_big_base_numerator_budgeted(self, monkeypatch):
+        # one period of the zero spec is 2 terms of 4,001 bits: 2 * 63 words
+        monkeypatch.setenv("GTMSEQ_BUDGET", "125")
+        with pytest.raises(BudgetExceededError, match="126 values exceed budget 125"):
+            periodic_series_value(zero_spec(2, 2), 0, 1, 2**4000)
+        monkeypatch.setenv("GTMSEQ_BUDGET", "126")
+        assert periodic_series_value(zero_spec(2, 2), 0, 1, 2**4000) == 0
 
     def test_beta_below_L_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +197,16 @@ class TestEvalCf:
         # a(0..4) = popcount = 0, 1, 1, 2, 1
         assert conv.quotients == (0, 1, 2, 2, 3, 2)
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tm: eval_series(tm, 0, 1, 2, 0), "digits must be >= 1, got 0"),
+    (lambda tm: eval_cf(tm, 0, 1, 0), "depth must be >= 1, got 0"),
+], ids=["eval_series-digits", "eval_cf-depth"])
+def test_argument_checks(tm, call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call(tm)
+    assert info.type is ValueError
 
 
 class TestIrrationalityEstimate:

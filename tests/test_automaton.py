@@ -261,6 +261,13 @@ def redeclared(spec, rng):
     )
 
 
+@pytest.mark.parametrize("e_max, horizon", [(-1, 4), (2, 0)], ids=["e_max", "horizon"])
+def test_brute_force_argument_check(tm, e_max, horizon):
+    with pytest.raises(ValueError, match="need e_max >= 0 and horizon >= 1") as info:
+        kernel_brute_force(tm, e_max, horizon)
+    assert info.type is ValueError
+
+
 class TestKernelBruteForceDefinition:
     def test_matches_definition(self, rng):
         e_limit = {2: 5, 3: 4, 4: 3, 5: 3}

@@ -192,6 +192,13 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["result"] == {"status": "UnknownUpToBound", "bound": 3}
 
+    def test_verdict_record_shapes(self, tmp_path, capsys):
+        rec = json.loads(run(capsys, "classify", TM)[1])["result"]
+        assert rec["status"] == "NonPeriodic"
+        assert all(len(r) == 3 for r in rec["refutations"])
+        rec = json.loads(run(capsys, "classify", write_spec(tmp_path, 2, 2, 0))[1])["result"]
+        assert set(rec) == {"status", "A", "period", "checked_window"}
+
     def test_byte_identical_reruns(self, capsys):
         outs = set()
         for _ in range(3):
@@ -417,6 +424,17 @@ class TestErrors:
         assert out == ""
         assert "budget" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("L = 2\nbogus\n", "line 2: expected 'key = value', got 'bogus'"),
+        ("L = 2\nk = 2\nperiod = 1\nkappa = 1\n", "line 4: kappa marker takes no inline value"),
+        ("k = 2\nperiod = 1\nkappa =\n1\n", "missing required field 'L'"),
+        ("L = 2\nk = 2\nkappa =\n1\n", "need either period (with preperiod) or window"),
+    ], ids=["key-value", "kappa-inline", "required-field", "period-or-window"])
+    def test_spec_parse_messages(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        assert run(capsys, "classify", str(spec)) == (2, "", f"error: {message}\n")
+
     def test_index_beyond_int64(self, capsys):
         half = str(2**62)
         code, out, err = run(capsys, "gen", TM, "--N", half, "--l", half, "--count", "3")
@@ -495,11 +513,42 @@ class TestLimits:
         assert "2**63" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("t,code", [(499, 0), (500, 5), (100000, 5)])
-    def test_gap_budgeted(self, capsys, monkeypatch, t, code):
-        # x*l carries 2*(t + 1) base-k digits of the modulus k**(t + 1)
+    @pytest.mark.parametrize("k,t,code", [
+        pytest.param(2, 499, 0, id="499-0"),
+        pytest.param(2, 500, 5, id="500-5"),
+        pytest.param(2, 100000, 5, id="100000-5"),
+        pytest.param(2**64 - 1, 499, 0, id="k2**64-1-499-0"),
+        pytest.param(2**64 - 1, 500, 5, id="k2**64-1-500-5"),
+        pytest.param(2**4000 + 1, 6, 0, id="k2**4000+1-6-0"),
+        pytest.param(2**4000 + 1, 7, 5, id="k2**4000+1-7-5"),
+        pytest.param(2**4000 + 1, 10, 5, id="k2**4000+1-10-5"),
+    ])
+    def test_gap_budgeted(self, capsys, monkeypatch, k, t, code):
+        # x*l carries 2*(t + 1) base-k digits of the modulus k**(t + 1), each
+        # of ceil(bits(k) / 64) 64-bit words: 1 below 2**64, 63 for 2**4000 + 1
         monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
-        got, out, err = run(capsys, "gap", "5", "2", str(t))
+        got, out, err = run(capsys, "gap", "5", str(k), str(t))
+        assert got == code
+        assert (out == "") == (code == 5)
+        assert ("budget" in err) == (code == 5)
+
+    @pytest.mark.parametrize("beta,digits,code", [
+        (2, 249, 0),
+        (2, 250, 5),
+        (2**64 - 1, 998, 0),
+        (2**64 - 1, 999, 5),
+        (2**4000, 13, 0),
+        (2**4000, 14, 5),
+        (2**4000, 20, 5),
+    ], ids=["2-249-0", "2-250-5", "2**64-1-998-0", "2**64-1-999-5",
+            "2**4000-13-0", "2**4000-14-5", "2**4000-20-5"])
+    def test_eval_budgeted(self, capsys, monkeypatch, beta, digits, code):
+        # digits * (base-beta length of 9) + 2 terms of the numerator, each of
+        # ceil(bits(beta) / 64) 64-bit words: 4 * digits + 2 terms of 1 word
+        # for beta = 2, digits + 2 terms of 1 or 63 words for the others
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        got, out, err = run(capsys, "eval", TM, "0", "1", "--beta", str(beta),
+                            "--digits", str(digits))
         assert got == code
         assert (out == "") == (code == 5)
         assert ("budget" in err) == (code == 5)

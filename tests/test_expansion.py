@@ -75,7 +75,7 @@ class TestExpand:
         for n in (0, 1, 17, 255, 3**9 + 5):
             for k in (2, 3, 5):
                 numeral = np.base_repr(n, k)
-                assert len(expand(n, k)) == len(numeral) - numeral.count("0")
+                assert len(expand(n, k).terms) == len(numeral) - numeral.count("0")
 
 
 def trial_division_gap_x(l, k, t):
@@ -174,6 +174,16 @@ class TestGapMultiple:
             for l in range(1, 200):
                 for t in range(5):
                     assert gap_multiple(l, k, t).x == trial_division_gap_x(l, k, t), (l, k, t)
+
+    @pytest.mark.parametrize("l, k, t, message", [
+        (0, 2, 1, "l must be >= 1, got 0"),
+        (1, 1, 1, "k must be >= 2, got 1"),
+        (1, 2, -1, "t must be >= 0, got -1"),
+    ], ids=["l", "k", "t"])
+    def test_argument_checks(self, l, k, t, message):
+        with pytest.raises(ValueError, match=message) as info:
+            gap_multiple(l, k, t)
+        assert info.type is ValueError
 
     def test_large_prime_factors_get_witnesses(self):
         # no factorization of k is needed, however large its primes

@@ -336,14 +336,6 @@ class TestAenpScanBatches:
         assert peak_mb <= 60
 
 
-def test_verdict_record_shapes(tm):
-    rec = classify(tm).to_record()
-    assert rec["status"] == NON_PERIODIC
-    assert all(len(r) == 3 for r in rec["refutations"])
-    rec = classify(zero_spec()).to_record()
-    assert set(rec) == {"status", "A", "period", "checked_window"}
-
-
 def literal_period(values, max_preperiod, max_period):
     """The docstring's definition of brute_force_period, read literally."""
     n = len(values)

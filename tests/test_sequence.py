@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -312,7 +313,9 @@ class TestNormalForm:
 @pytest.mark.parametrize("call", [
     lambda tm: kernel_brute_force(tm, 10**5, 1),
     lambda tm: generate_prefix_morphic(tm, 20000),
-    lambda tm: periodic_series_value(zero_spec(), 0, 1, 2, 10**6),
+    # classify: shift 19,999, so one period is 2**20000 terms
+    lambda tm: periodic_series_value(KappaSpec(
+        L=2, k=2, preperiod=20000, period=1, table=((1,) * 20000 + (0,),)), 0, 1, 2),
 ], ids=["kernel_brute_force", "generate_prefix_morphic", "periodic_series_value"])
 def test_budget_refuses_counts_past_str_digit_cap(tm, call):
     # these counts have over 4,300 decimal digits, which str() refuses by default
@@ -323,6 +326,27 @@ def test_budget_refuses_counts_past_str_digit_cap(tm, call):
             call(tm)
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tm: KappaSpec(L=2, k=1, preperiod=0, period=1, table=()),
+     "k must be >= 2, got 1"),
+    (lambda tm: KappaSpec(L=2, k=2, preperiod=0, period=1, table=((1,),), window=1),
+     "give either period or window, not both"),
+    (lambda tm: KappaSpec(L=2, k=2, preperiod=0, period=0, table=((),)),
+     "need preperiod >= 0 and period >= 1"),
+    (lambda tm: KappaSpec(L=2, k=2, preperiod=1, period=1, table=((1,),)),
+     "each table row must have 2 columns"),
+    (lambda tm: tm.column(-1), "y must be >= 0, got -1"),
+    (lambda tm: tm.kappa(2, 0), "s must lie in [1, 1], got 2"),
+    (lambda tm: a_of_n(tm, -1), "n must be >= 0, got -1"),
+    (lambda tm: generate_prefix_morphic(tm, -1), "m must be >= 0, got -1"),
+], ids=["k", "period-and-window", "period", "row-width", "column-y", "kappa-s",
+        "a_of_n-n", "generate_prefix_morphic-m"])
+def test_argument_checks(tm, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call(tm)
+    assert info.type is ValueError
 
 
 def test_eventual_period_lookup():

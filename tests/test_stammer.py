@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor
 
@@ -153,6 +154,24 @@ class TestVerifyWitness:
         window = equally_spaced(tm, 1, 1, 2**7)
         ok, diag = verify_witness(window, witness)
         assert not ok
+
+
+@pytest.mark.parametrize("N, l", [(-1, 1), (0, 0)], ids=["N", "l"])
+def test_build_witness_argument_check(tm, N, l):
+    with pytest.raises(ValueError, match="need N >= 0 and l >= 1") as info:
+        build_witness(tm, N, l, 4)
+    assert info.type is ValueError
+
+
+@pytest.mark.parametrize("malform, reason", [
+    (lambda w: replace(w, V=()), "V must be nonempty"),
+    (lambda w: replace(w, U=(0,) * (w.ratio_bound * len(w.V) + 1)),
+     "|U|/|V| exceeds recorded bound"),
+], ids=["empty-V", "ratio"])
+def test_malformed_witness_rejected(tm, malform, reason):
+    window = equally_spaced(tm, 0, 1, 2**7)
+    assert verify_witness(window, malform(build_witness(tm, 0, 1, 4))) == (
+        False, {"reason": reason})
 
 
 class TestWitnessFamily:
