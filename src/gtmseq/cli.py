@@ -6,21 +6,9 @@ report schema lives in this module.  ``main`` is the one report path:
 it parses the spec file (``gap`` has none), calls that function and
 prints a deterministic JSON report on stdout (``gen`` without ``--json``
 prints its word line), whose ``parameters`` are the parsed arguments;
-wall time goes to stderr.  Exact answers print whole.  Exit codes:
-
-    0  success
-    2  spec-file parse error / bad usage, including an unreadable spec
-       path and integers out of range (an index reaching 2**63, a
-       modulus L above 2**57)
-    3  operation refused because the sequence is (or may be) periodic
-    4  finite-window spec queried beyond its window
-    5  memory budget exceeded: every word, window, index array,
-       kernel closure or convergent table is checked against the
-       GTMSEQ_BUDGET environment variable; a digit of an ``eval``
-       numerator or ``gap`` witness counts ceil(bits(base) / 64) words
-    6  stammering index m below the legal minimum
-
-Each library error carries its exit code as ``exit_code``.
+wall time goes to stderr.  Exact answers print whole.  The exit codes
+are listed once, in ``_EPILOG``, which ``gtmseq --help`` prints; each
+library error carries its exit code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -65,14 +53,11 @@ def _gen(spec, args):
         word = generate_prefix_morphic(spec, m)
         words.append([word[i] for i in indices])
     result = {"values": words[0]}
+    line = _word_str(words[0])
     if len(words) == 2:
         result["agree"] = words[0] == words[1]
-    if args.json:
-        return result
-    line = _word_str(words[0])
-    if "agree" in result:
         line += " AGREE" if result["agree"] else " DISAGREE"
-    return line
+    return result if args.json else line
 
 
 def _classify(spec, args):
@@ -159,51 +144,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="print a sequence window")
-    p.add_argument("specfile")
+    def command(name, func, help, *integers, specfile=True):
+        p = sub.add_parser(name, help=help)
+        if specfile:
+            p.add_argument("specfile")
+        for integer in integers:
+            p.add_argument(integer, type=int)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _gen, "print a sequence window")
     p.add_argument("--mode", choices=["digit", "morphic", "both"], default="digit")
     p.add_argument("--count", type=int, default=32)
     p.add_argument("--N", type=int, default=0)
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_gen)
-
-    p = sub.add_parser("classify", help="decide ultimate periodicity")
-    p.add_argument("specfile")
-    p.set_defaults(func=_classify)
-
-    p = sub.add_parser("stammer", help="build a stammering witness")
-    p.add_argument("specfile")
-    p.add_argument("N", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(func=_stammer)
-
-    p = sub.add_parser("kernel", help="explore the k-kernel DFAO")
-    p.add_argument("specfile")
+    command("classify", _classify, "decide ultimate periodicity")
+    command("stammer", _stammer, "build a stammering witness", "N", "l", "m")
+    p = command("kernel", _kernel, "explore the k-kernel DFAO")
     p.add_argument("--max-states", type=int, default=4096)
-    p.set_defaults(func=_kernel)
-
-    p = sub.add_parser("eval", help="evaluate the series sum a(N+nl)/beta^(n+1)")
-    p.add_argument("specfile")
-    p.add_argument("N", type=int)
-    p.add_argument("l", type=int)
+    p = command("eval", _eval, "evaluate the series sum a(N+nl)/beta^(n+1)", "N", "l")
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--digits", type=int, default=12)
-    p.set_defaults(func=_eval)
-
-    p = sub.add_parser("cf", help="continued fraction [0: a(N), a(N+l), ...]")
-    p.add_argument("specfile")
-    p.add_argument("N", type=int)
-    p.add_argument("l", type=int)
+    p = command("cf", _cf, "continued fraction [0: a(N), a(N+l), ...]", "N", "l")
     p.add_argument("--depth", type=int, default=20)
-    p.set_defaults(func=_cf)
-
-    p = sub.add_parser("gap", help="gap-multiple witness for (l, k, t)")
-    p.add_argument("l", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("t", type=int)
-    p.set_defaults(func=_gap)
+    command("gap", _gap, "gap-multiple witness for (l, k, t)", "l", "k", "t", specfile=False)
 
     return parser
 
@@ -214,13 +179,11 @@ _parser = functools.cache(build_parser)  # one per process: parsing leaves it un
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
-    # Inputs keep Python's cap on int <-> str digits; the answers lift it
-    # (Pythons before 3.10.7 have no cap).
-    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # Inputs keep Python's cap on int <-> str digits; the answers lift it.
+    digit_cap = sys.get_int_max_str_digits()
     try:
         spec = parse_spec(args.specfile) if "specfile" in args else None
-        if digit_cap is not None:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         result = args.func(spec, args)
         if isinstance(result, dict):
             parameters = {key: value for key, value in vars(args).items()
@@ -232,8 +195,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", GtmseqError.exit_code)
     finally:
-        if digit_cap is not None:
-            sys.set_int_max_str_digits(digit_cap)
+        sys.set_int_max_str_digits(digit_cap)
     print(result)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"wall_time_ms={elapsed_ms:.3f}", file=sys.stderr)

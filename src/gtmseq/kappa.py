@@ -51,7 +51,11 @@ _SLAB = 2**14
 
 def word_budget() -> int:
     """Maximum in-memory word/array length, from GTMSEQ_BUDGET if set."""
-    return int(os.environ.get("GTMSEQ_BUDGET", _DEFAULT_BUDGET))
+    raw = os.environ.get("GTMSEQ_BUDGET", _DEFAULT_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"GTMSEQ_BUDGET must be an integer, got {raw!r}") from None
 
 
 def check_budget(count: int) -> None:

@@ -20,6 +20,7 @@ preperiod + period (resp. window) columns.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any
 
 from .errors import SpecParseError
 from .kappa import KappaSpec
@@ -30,7 +31,7 @@ _INT_KEYS = {"L", "k", "preperiod", "period", "window"}
 
 
 def parse_spec_text(text: str) -> KappaSpec:
-    fields: dict[str, object] = {}
+    fields: dict[str, Any] = {}
     rows: list[tuple[int, ...]] = []
     in_matrix = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -76,15 +77,8 @@ def parse_spec_text(text: str) -> KappaSpec:
         raise SpecParseError("need either period (with preperiod) or window")
 
     try:
-        return KappaSpec(
-            L=fields["L"],  # type: ignore[arg-type]
-            k=fields["k"],  # type: ignore[arg-type]
-            preperiod=fields.get("preperiod", 0),  # type: ignore[arg-type]
-            period=fields.get("period"),  # type: ignore[arg-type]
-            window=fields.get("window"),  # type: ignore[arg-type]
-            table=tuple(rows),
-            name=fields.get("name"),  # type: ignore[arg-type]
-        )
+        return KappaSpec(preperiod=fields.pop("preperiod", 0), period=fields.pop("period", None),
+                         table=tuple(rows), **fields)
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
 

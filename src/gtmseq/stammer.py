@@ -147,7 +147,6 @@ def verify_witness(window: SequenceWindow, witness: StammerWitness):
     Returns (ok, diagnostics); on failure diagnostics carry the first
     mismatching index or the reason the witness is malformed.
     """
-    diag: dict = {}
     if witness.w <= 1:
         return False, {"reason": "exponent w must exceed 1"}
     if not witness.V:
@@ -162,14 +161,11 @@ def verify_witness(window: SequenceWindow, witness: StammerWitness):
             f"window of length {len(window.values)} too short for prefix of "
             f"length {len(pattern)}"
         )
-    for i, expected in enumerate(pattern):
-        if window.values[i] != expected:
-            diag["mismatch_index"] = i
-            diag["expected"] = expected
-            diag["actual"] = window.values[i]
-            return False, diag
-    diag["prefix_length"] = len(pattern)
-    return True, diag
+    values = window.values[: len(pattern)]
+    if values == pattern:
+        return True, {"prefix_length": len(pattern)}
+    i = next(i for i, (got, want) in enumerate(zip(values, pattern)) if got != want)
+    return False, {"mismatch_index": i, "expected": pattern[i], "actual": values[i]}
 
 
 def witness_family(spec: KappaSpec, N: int, l: int, m_range) -> list[StammerWitness]:

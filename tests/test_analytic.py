@@ -146,9 +146,13 @@ class TestEvalSeries:
         monkeypatch.setenv("GTMSEQ_BUDGET", "126")
         assert periodic_series_value(zero_spec(2, 2), 0, 1, 2**4000) == 0
 
-    def test_beta_below_L_rejected(self):
-        with pytest.raises(ValueError):
-            eval_series(constant_spec(4, 2, (3,)), 0, 1, 3, 6)
+    @pytest.mark.parametrize("series, spec, extra", [
+        (eval_series, constant_spec(4, 2, (3,)), (6,)),
+        (periodic_series_value, zero_spec(4, 2), ()),
+    ], ids=["eval_series", "periodic_series_value"])
+    def test_beta_below_L_rejected(self, series, spec, extra):
+        with pytest.raises(ValueError, match="beta must be >= L = 4, got 3"):
+            series(spec, 0, 1, 3, *extra)
 
 
 class TestEvalCf:

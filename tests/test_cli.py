@@ -36,14 +36,13 @@ def run(capsys, *argv):
 
 @contextmanager
 def whole_ints():
-    """Lift Python's int <-> str digit cap (3.10.7+) for a test's own checks."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    lift = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    lift(0)
+    """Lift Python's int <-> str digit cap for a test's own checks."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        lift(cap)
+        sys.set_int_max_str_digits(cap)
 
 
 class TestReport:
@@ -96,8 +95,6 @@ class TestExactAnswers:
         assert result["expansion"][0] == [1, result["leading_exponent"]]
         assert result["gap"] > 10000
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                        reason="no int <-> str digit cap before Python 3.10.7")
     def test_digit_cap_restored(self, capsys):
         cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(5000)
@@ -411,6 +408,14 @@ class TestErrors:
         code, _, err = run(capsys, "gen", TM, "--count", "64", "--mode", "morphic")
         assert code == 5
         assert "error" in err
+
+    @pytest.mark.parametrize("budget", ["1e6", "lots"])
+    def test_budget_not_an_integer(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("GTMSEQ_BUDGET", budget)
+        code, out, err = run(capsys, "gen", TM)
+        assert code == 2
+        assert out == ""
+        assert f"error: GTMSEQ_BUDGET must be an integer, got {budget!r}" in err
 
     @pytest.mark.parametrize("argv", [
         ("gen", TM, "--count", "5000"),

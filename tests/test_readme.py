@@ -7,13 +7,15 @@ leads with a Python literal, its value, which may be followed by prose.
 
 import ast
 import json
+import re
 import shlex
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from gtmseq.cli import main
+from gtmseq import errors
+from gtmseq.cli import _EPILOG, main
 from gtmseq.expansion import expand
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -107,3 +109,14 @@ def test_example_runs(capsys, argv, comment):
         assert [[s, w] for s, w in terms] == result["expansion"]
         assert terms[0] == (1, result["leading_exponent"])
         assert len(terms) == 1 or terms[1][1] - terms[0][1] > t
+
+
+def test_exit_codes_documented_once_and_alike():
+    """``gtmseq --help``, the README and the error types list the same codes."""
+    epilog = set(re.findall(r"(?:^ +|; )(\d) ", _EPILOG, re.M))
+    text = README.read_text()
+    paragraph = text[text.index("Exit codes:"):].split("\n\n", 1)[0]
+    readme = set(re.findall(r"`(\d)` ", paragraph))
+    raised = {str(error.exit_code) for error in vars(errors).values()
+              if isinstance(error, type) and issubclass(error, errors.GtmseqError)}
+    assert epilog == readme == {"0", "2"} | raised

@@ -133,7 +133,10 @@ class TestVerifyWitness:
         tampered = witness.__class__(**{**witness.__dict__, "V": complement})
         ok, diag = verify_witness(window, tampered)
         assert not ok
-        assert "mismatch_index" in diag
+        i = diag["mismatch_index"]
+        assert i == len(witness.U)  # the first letter of the complemented V
+        assert diag["expected"] == tampered.prefix_word()[i] == complement[0]
+        assert diag["actual"] == window.values[i] == witness.V[0]
 
     def test_w_must_exceed_one(self, tm):
         witness = build_witness(tm, 0, 1, 4)
