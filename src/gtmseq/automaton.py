@@ -82,27 +82,42 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     root is the target of a recorded transition.  A closure that grows
     past ``word_budget()`` states within ``max_states`` fails
     ``check_budget``.
+
+    Cost: one column read per canonical shift and one dict lookup per
+    transition.  Each shift's move, the digit steps kappa(., shift) with
+    kappa(0, .) = 0, the next canonical shift and that shift's
+    {offset: state index} dict, is built on first use, so a child is the
+    int (offset + step) % L looked up in one dict, and a ``KernelState``
+    is built only for a new state.
     """
-    states = [KernelState(shift=spec.canonical_column(0), offset=0)]
-    index = {states[0]: 0}
+    L = spec.L
+    root = spec.canonical_column(0)
+    states = [KernelState(shift=root, offset=0)]
+    index = {root: {0: 0}}  # {shift: {offset: state index}}
+    moves: dict[int, tuple[tuple[int, ...], int, dict[int, int]]] = {}
     transitions: list[tuple[int, ...]] = []
     complete = True
     budget = word_budget()
-    for state in states:  # grows while iterated, so the order is breadth-first
-        try:
-            steps = (0,) + spec.column(state.shift)
-        except WindowExceededError:
-            # Finite-window spec ran out of columns: inconclusive.
-            complete = False
-            break
-        shift = spec.canonical_column(state.shift + 1)
+    for shift, offset in states:  # grows while iterated, so the order is breadth-first
+        move = moves.get(shift)
+        if move is None:
+            try:
+                steps = (0,) + spec.column(shift)
+            except WindowExceededError:
+                # Finite-window spec ran out of columns: inconclusive.
+                complete = False
+                break
+            child_shift = spec.canonical_column(shift + 1)
+            move = moves[shift] = (steps, child_shift, index.setdefault(child_shift, {}))
+        steps, child_shift, children = move
         finished = len(states)
         row = []
         for step in steps:
-            child = KernelState(shift=shift, offset=(state.offset + step) % spec.L)
-            child_idx = index.setdefault(child, len(states))
-            if child_idx == len(states):
-                states.append(child)
+            child = (offset + step) % L
+            child_idx = children.get(child)
+            if child_idx is None:
+                child_idx = children[child] = len(states)
+                states.append(KernelState(shift=child_shift, offset=child))
             row.append(child_idx)
         if len(states) > max(finished, max_states):
             # The row added states past the cap (a row that adds none never

@@ -39,8 +39,18 @@ exit codes:
 """
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _word_str(values) -> str:
-    return ("" if max(values, default=0) < 10 else " ").join(map(str, values))
+    """Letters run together when every one is below 10, else space-separated.
+
+    The run-together form maps the letters, as bytes, to their digits in
+    one ``translate`` pass instead of one ``str`` call per letter.
+    """
+    if max(values, default=0) < 10:
+        return bytes(values).translate(_DIGITS).decode()
+    return " ".join(map(str, values))
 
 
 def _gen(spec, args):

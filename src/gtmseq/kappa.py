@@ -50,12 +50,19 @@ _SLAB = 2**14
 
 
 def word_budget() -> int:
-    """Maximum in-memory word/array length, from GTMSEQ_BUDGET if set."""
+    """Maximum in-memory word/array length, from GTMSEQ_BUDGET if set.
+
+    Raises ValueError unless the variable is an integer of at least 1: a
+    budget that admits nothing is bad usage, not an exceeded budget.
+    """
     raw = os.environ.get("GTMSEQ_BUDGET", _DEFAULT_BUDGET)
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"GTMSEQ_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 1:
+        raise ValueError(f"GTMSEQ_BUDGET must be at least 1, got {raw!r}")
+    return budget
 
 
 def check_budget(count: int) -> None:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import gtmseq
-from gtmseq import KappaSpec, PeriodicityVerdict
+from gtmseq import KappaSpec, KernelResult, KernelState, PeriodicityVerdict
+from gtmseq.errors import WindowExceededError
+from gtmseq.kappa import check_budget, word_budget
 from gtmseq.periodicity import NON_PERIODIC, PERIODIC
 
 # Appended to a child's code: prints its peak resident set in KiB.  On
@@ -151,6 +153,51 @@ def periodic_constructed_spec(rng: random.Random, L_max=6, k_max=5, A_max=2):
             ky = pow(k, y - A, L)
             columns.append(tuple((c * s * ky) % L for s in range(1, k)))
     return make_spec(L, k, y0, p, columns), A
+
+
+def kernel_explore_literal(spec, max_states=4096):
+    """The kernel closure as first written: a (shift, offset) dict keyed by
+    ``KernelState``, and one ``spec.column`` read per state.
+
+    A literal oracle for ``kernel_explore``, which must return an equal
+    ``KernelResult`` or raise the same error.
+    """
+    states = [KernelState(shift=spec.canonical_column(0), offset=0)]
+    index = {states[0]: 0}
+    transitions = []
+    complete = True
+    budget = word_budget()
+    for state in states:  # grows while iterated, so the order is breadth-first
+        try:
+            steps = (0,) + spec.column(state.shift)
+        except WindowExceededError:
+            # Finite-window spec ran out of columns: inconclusive.
+            complete = False
+            break
+        shift = spec.canonical_column(state.shift + 1)
+        finished = len(states)
+        row = []
+        for step in steps:
+            child = KernelState(shift=shift, offset=(state.offset + step) % spec.L)
+            child_idx = index.setdefault(child, len(states))
+            if child_idx == len(states):
+                states.append(child)
+            row.append(child_idx)
+        if len(states) > max(finished, max_states):
+            # The row added states past the cap (a row that adds none never
+            # stops the closure): drop them with the row.
+            del states[finished:]
+            complete = False
+            break
+        if len(states) > budget:
+            check_budget(len(states))
+        transitions.append(tuple(row))
+    return KernelResult(
+        states=tuple(states),
+        transitions=tuple(transitions),
+        outputs=tuple(s.offset for s in states),
+        complete=complete,
+    )
 
 
 @pytest.fixture

@@ -11,7 +11,13 @@ from gtmseq import (
     kernel_explore,
 )
 from gtmseq.errors import BudgetExceededError, WindowExceededError
-from conftest import alternating_spec, random_spec, run_child, zero_spec
+from conftest import (
+    alternating_spec,
+    kernel_explore_literal,
+    random_spec,
+    run_child,
+    zero_spec,
+)
 
 
 def state_denotation(spec, state, inputs):
@@ -136,6 +142,49 @@ class TestKernelExplore:
         assert result.outputs == (0, 0, 1, 0, 1, 0, 1)
         targets = {child for row in result.transitions for child in row}
         assert targets == set(range(1, len(result.states)))
+
+
+@st.composite
+def closure_cases(draw):
+    """(spec, max_states): periodic or finite-window, L from 2 to 2**57."""
+    L, k = draw(st.sampled_from([2, 3, 255, 2**57])), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        y0, p, cols = 0, None, draw(st.integers(1, 5))
+    else:
+        y0, p = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        cols = y0 + p
+    letters = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    table = tuple(
+        tuple(draw(st.lists(letters, min_size=cols, max_size=cols))) for _ in range(k - 1)
+    )
+    spec = KappaSpec(L=L, k=k, preperiod=y0, period=p, table=table,
+                     window=None if p else cols)
+    max_states = draw(st.one_of(st.sampled_from([1, 2, 3, 4096]), st.integers(1, 300)))
+    return spec, max_states
+
+
+def closure_outcome(explore, spec, max_states):
+    """The KernelResult, or the type and message of the error raised."""
+    try:
+        return explore(spec, max_states)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelExploreLiteral:
+    @settings(max_examples=200, deadline=None)
+    @given(closure_cases(), st.sampled_from([None, -1, 0, 1]))
+    def test_matches_literal_closure(self, case, budget_delta):
+        # budget_delta puts GTMSEQ_BUDGET just below, at or just above the
+        # state count; None keeps the default budget.
+        spec, max_states = case
+        with pytest.MonkeyPatch.context() as mp:
+            if budget_delta is not None:
+                count = len(kernel_explore_literal(spec, max_states).states)
+                mp.setenv("GTMSEQ_BUDGET", str(count + budget_delta))
+            want = closure_outcome(kernel_explore_literal, spec, max_states)
+            got = closure_outcome(kernel_explore, spec, max_states)
+        assert got == want
 
 
 def moore_classes(outputs, transitions):

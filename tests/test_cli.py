@@ -21,11 +21,24 @@ PERIODIC = spec_path("periodic.spec")
 ALTERNATING = spec_path("alternating.spec")
 
 
+def digit_sum_spec(tmp_path, L, kappa):
+    """a(n) = kappa * (binary digit sum of n) mod L."""
+    path = tmp_path / f"digit_sum_{L}.spec"
+    path.write_text(f"L = {L}\nk = 2\npreperiod = 0\nperiod = 1\nkappa =\n{kappa}\n")
+    return str(path)
+
+
 def wide_letters_spec(tmp_path):
     """a(n) = 5 * (binary digit sum of n) mod 12: letters up to 11."""
-    path = tmp_path / "wide_letters.spec"
-    path.write_text("L = 12\nk = 2\npreperiod = 0\nperiod = 1\nkappa =\n5\n")
-    return str(path)
+    return digit_sum_spec(tmp_path, 12, 5)
+
+
+# (L, kappa), a(0..7) as gen prints it, then a(0..7) and a(8..15) as
+# stammer prints U and V: L = 10 reaches letter 9, L = 11 letter 10.
+WORD_LINE_EDGES = pytest.mark.parametrize("L, kappa, line, U, V", [
+    (10, 3, "03363669 AGREE\n", "03363669", "36696992"),
+    (11, 5, "0 5 5 10 5 10 10 4 AGREE\n", "0 5 5 10 5 10 10 4", "5 10 10 4 10 4 4 9"),
+], ids=["L10-run-together", "L11-space-separated"])
 
 
 def run(capsys, *argv):
@@ -143,6 +156,13 @@ class TestGen:
         assert code == 0
         assert out == "0 5 5 10 5 10 10 3 AGREE\n"
 
+    @WORD_LINE_EDGES
+    def test_word_line_at_letter_ten(self, tmp_path, capsys, L, kappa, line, U, V):
+        code, out, _ = run(capsys, "gen", digit_sum_spec(tmp_path, L, kappa),
+                           "--count", "8", "--mode", "both")
+        assert code == 0
+        assert out == line
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_largest_index_at_power_of_k(self, tmp_path, capsys, k):
         spec = tmp_path / "spec"
@@ -166,6 +186,26 @@ class TestGen:
         assert code == 0
         assert out == expected
         assert "error" not in err
+
+
+class TestWordStr:
+    @pytest.mark.parametrize("values, line", [
+        ((), ""),
+        ([9], "9"),
+        ((0, 9, 3), "093"),
+        ([10], "10"),
+        ((9, 10, 0), "9 10 0"),
+    ], ids=["empty", "nine", "below-ten", "ten", "up-to-ten"])
+    def test_edges(self, values, line):
+        assert cli._word_str(values) == line
+
+    def test_random_words_match_join(self, rng):
+        for _ in range(300):
+            top = rng.choice([1, 9, 10, 11, 255, 2**57 - 1])
+            word = [rng.randint(0, top) for _ in range(rng.randint(0, 40))]
+            joined = ("" if max(word, default=0) < 10 else " ").join(map(str, word))
+            assert cli._word_str(word) == joined
+            assert cli._word_str(tuple(word)) == joined
 
 
 class TestClassify:
@@ -225,6 +265,14 @@ class TestStammer:
         result = json.loads(out)["result"]
         assert result["U"] == "0 5 5 10 5 10 10 3"  # a(0..7)
         assert result["V"] == "5 10 10 3 10 3 3 8"  # a(8..15)
+        assert (result["U_length"], result["V_length"]) == (8, 8)
+
+    @WORD_LINE_EDGES
+    def test_words_at_letter_ten(self, tmp_path, capsys, L, kappa, line, U, V):
+        code, out, _ = run(capsys, "stammer", digit_sum_spec(tmp_path, L, kappa), "0", "1", "3")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["U"], result["V"]) == (U, V)
         assert (result["U_length"], result["V_length"]) == (8, 8)
 
     def test_periodic_refusal_exit_code(self, capsys):
@@ -416,6 +464,13 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"error: GTMSEQ_BUDGET must be an integer, got {budget!r}" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("GTMSEQ_BUDGET", budget)
+        code, out, err = run(capsys, "gen", TM, "--count", "4")
+        assert (code, out) == (2, "")
+        assert f"error: GTMSEQ_BUDGET must be at least 1, got {budget!r}" in err
 
     @pytest.mark.parametrize("argv", [
         ("gen", TM, "--count", "5000"),
