@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -24,15 +25,15 @@ from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
 from .errors import GtmseqError
 from .expansion import expand, gap_multiple
-from .kappa import equally_spaced, generate_prefix_morphic, spaced_indices
+from .kappa import _morphic_word, equally_spaced, spaced_indices, word_budget
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
 
 _EPILOG = """\
 exit codes:
-  0 success; 2 parse error or bad usage (also out-of-range integers and
-  L > 2**57); 3 periodic-refusal; 4 window-exceeded;
+  0 success; 2 parse error or bad usage (also out-of-range integers,
+  L > 2**57 and a closed stdout); 3 periodic-refusal; 4 window-exceeded;
   5 budget-exceeded (every allocation is checked against GTMSEQ_BUDGET;
   set it to raise the memory budget; eval and gap count each digit of a
   base beta or k as ceil(bits / 64) words); 6 stammering index below minimum
@@ -58,10 +59,9 @@ def _gen(spec, args):
     if args.mode != "morphic":
         words.append(list(equally_spaced(spec, args.N, args.l, args.count).values))
     if args.mode != "digit":
-        indices = spaced_indices(args.N, args.l, args.count).tolist()
-        m = expand(max(indices, default=0), spec.k).length
-        word = generate_prefix_morphic(spec, m)
-        words.append([word[i] for i in indices])
+        indices = spaced_indices(args.N, args.l, args.count)
+        m = expand(int(indices.max(initial=0)), spec.k).length
+        words.append(_morphic_word(spec, m)[indices].tolist())
     result = {"values": words[0]}
     line = _word_str(words[0])
     if len(words) == 2:
@@ -84,8 +84,8 @@ def _kernel(spec, args):
     result = kernel_explore(spec, args.max_states)
     return {
         "states": [{"shift": s.shift, "offset": s.offset} for s in result.states],
-        "transitions": [list(row) for row in result.transitions],
-        "outputs": list(result.outputs),
+        "transitions": result.transitions,
+        "outputs": result.outputs,
         "complete": result.complete,
     }
 
@@ -128,7 +128,7 @@ def _eval(spec, args):
 def _cf(spec, args):
     conv = eval_cf(spec, args.N, args.l, args.depth)
     return {
-        "quotients": list(conv.quotients),
+        "quotients": conv.quotients,
         "convergents": [[str(p), str(q)] for p, q in conv.convergents],
     }
 
@@ -192,6 +192,7 @@ def main(argv=None) -> int:
     # Inputs keep Python's cap on int <-> str digits; the answers lift it.
     digit_cap = sys.get_int_max_str_digits()
     try:
+        word_budget()  # a bad GTMSEQ_BUDGET fails every command alike
         spec = parse_spec(args.specfile) if "specfile" in args else None
         sys.set_int_max_str_digits(0)
         result = args.func(spec, args)
@@ -201,12 +202,16 @@ def main(argv=None) -> int:
             report = {"command": args.command, "parameters": parameters,
                       "result": result, "version": __version__}
             result = json.dumps(report, sort_keys=True, separators=(", ", ": "))
+        print(result, flush=True)
     except (GtmseqError, ValueError, OverflowError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout is closed: send what is left of it, and the flush at
+            # exit, to devnull (the SIGPIPE note in the signal module docs).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", GtmseqError.exit_code)
     finally:
         sys.set_int_max_str_digits(digit_cap)
-    print(result)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"wall_time_ms={elapsed_ms:.3f}", file=sys.stderr)
     return 0

@@ -291,7 +291,13 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
     w + kappa(s, y) mod L, s = 0..k-1 with kappa(0, y) = 0.  The one
     substitution kernel; the word lists the root-of-unity exponents of the
     coefficients of prod_{y<m} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)).
+    ``_morphic_word`` builds it as an int64 array, from which ``gtmseq
+    gen`` gathers its window in numpy and converts only those letters.
     """
+    return _morphic_word(spec, m).tolist()
+
+
+def _morphic_word(spec: KappaSpec, m: int) -> np.ndarray:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m:
@@ -300,7 +306,7 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
     word = np.zeros(1, dtype=np.int64)
     for y in range(m):
         word = (np.add.outer((0,) + spec.column(y), word) % spec.L).ravel()
-    return word.tolist()
+    return word
 
 
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:

@@ -15,11 +15,15 @@ Either ``preperiod``/``period`` (eventually periodic) or ``window``
 ``kappa =`` marker come exactly k-1 rows of whitespace-separated
 integers, one row per digit value s = 1..k-1, each row with
 preperiod + period (resp. window) columns.
+
+Spec files are UTF-8 whatever the locale.  ``parse_spec`` decodes the
+raw bytes once, skipping the pathlib and text-mode set-up that costs
+more than parsing a small spec; ``splitlines`` handles CR and CRLF.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import Any
 
 from .errors import SpecParseError
@@ -84,7 +88,8 @@ def parse_spec_text(text: str) -> KappaSpec:
 
 
 def parse_spec(path) -> KappaSpec:
-    return parse_spec_text(Path(path).read_text())
+    with open(os.fspath(path), "rb", buffering=0) as file:  # str or PathLike, not an fd
+        return parse_spec_text(file.read().decode("utf-8"))
 
 
 def spec_to_text(spec: KappaSpec) -> str:

@@ -9,7 +9,9 @@ import pytest
 import gtmseq
 from gtmseq import KappaSpec, KernelResult, KernelState, PeriodicityVerdict
 from gtmseq.errors import WindowExceededError
-from gtmseq.kappa import check_budget, word_budget
+from gtmseq.expansion import expand
+from gtmseq.kappa import (check_budget, equally_spaced, generate_prefix_morphic,
+                          spaced_indices, word_budget)
 from gtmseq.periodicity import NON_PERIODIC, PERIODIC
 
 # Appended to a child's code: prints its peak resident set in KiB.  On
@@ -198,6 +200,26 @@ def kernel_explore_literal(spec, max_states=4096):
         outputs=tuple(s.offset for s in states),
         complete=complete,
     )
+
+
+def gen_line_literal(spec, mode, N, l, count):
+    """``gtmseq gen``'s word line by the list-index route: the morphic
+    prefix as a Python list, read one index at a time.
+
+    A literal oracle for ``gen``, which gathers its window from the word
+    in numpy; ``mode`` is "morphic" or "both", and "both" adds the digit
+    route and its AGREE/DISAGREE tag.
+    """
+    words = []
+    if mode != "morphic":
+        words.append(list(equally_spaced(spec, N, l, count).values))
+    indices = spaced_indices(N, l, count).tolist()
+    word = generate_prefix_morphic(spec, expand(max(indices, default=0), spec.k).length)
+    words.append([word[i] for i in indices])
+    line = ("" if max(words[0], default=0) < 10 else " ").join(map(str, words[0]))
+    if len(words) == 2:
+        line += " AGREE" if words[0] == words[1] else " DISAGREE"
+    return line + "\n"
 
 
 @pytest.fixture

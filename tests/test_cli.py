@@ -1,15 +1,23 @@
+import io
 import json
+import os
+import re
+import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gtmseq import __version__, a_of_n, cli
+import gtmseq
+from gtmseq import KappaSpec, __version__, a_of_n, cli, spec_to_text
 from gtmseq.analytic import eval_series
 from gtmseq.cli import main
 from gtmseq.expansion import expand
 from gtmseq.specfile import parse_spec
+from conftest import gen_line_literal
 
 
 def spec_path(name):
@@ -186,6 +194,34 @@ class TestGen:
         assert code == 0
         assert out == expected
         assert "error" not in err
+
+
+@st.composite
+def gen_cases(draw):
+    """(spec, N, l, count): L up to 2**57, count in {0, 1, k**m, k**m + 1}."""
+    L = draw(st.one_of(st.integers(2, 12), st.integers(2, 2**57)))
+    k = draw(st.integers(2, 5))
+    preperiod, period = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(0, L - 1)] * (preperiod + period))
+    table = draw(st.tuples(*[row] * (k - 1)))
+    spec = KappaSpec(L=L, k=k, preperiod=preperiod, period=period, table=table)
+    m = draw(st.integers(0, 4))
+    count = draw(st.sampled_from([0, 1, k**m, k**m + 1]))
+    return spec, draw(st.integers(0, 1000)), draw(st.integers(1, 20)), count
+
+
+class TestGenLiteral:
+    @settings(max_examples=150, deadline=None)
+    @given(gen_cases(), st.sampled_from(["morphic", "both"]))
+    def test_matches_list_index_route(self, tmp_path_factory, case, mode):
+        spec, N, l, count = case
+        path = tmp_path_factory.getbasetemp() / "gen_literal.spec"
+        path.write_text(spec_to_text(spec))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["gen", str(path), "--mode", mode, "--N", str(N), "--l", str(l),
+                         "--count", str(count)])
+        assert (code, out.getvalue()) == (0, gen_line_literal(spec, mode, N, l, count))
 
 
 class TestWordStr:
@@ -471,6 +507,38 @@ class TestErrors:
         code, out, err = run(capsys, "gen", TM, "--count", "4")
         assert (code, out) == (2, "")
         assert f"error: GTMSEQ_BUDGET must be at least 1, got {budget!r}" in err
+
+    @pytest.mark.parametrize("budget", ["0", "lots"])
+    @pytest.mark.parametrize("argv", [
+        ("gen", TM),
+        ("classify", TM),
+        ("stammer", PERIODIC, "0", "1", "14"),
+        ("kernel", TM),
+        ("eval", TM, "0", "1", "--beta", "3"),
+        ("cf", TM, "0", "1"),
+        ("gap", "6", "10", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_bad_budget_fails_every_command(self, capsys, monkeypatch, argv, budget):
+        # read before the spec: classify would exit 0 and this stammer 3
+        monkeypatch.setenv("GTMSEQ_BUDGET", budget)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: GTMSEQ_BUDGET must be")
+
+    @pytest.mark.parametrize("argv", [("kernel", TM), ("gen", TM, "--count", "3")],
+                             ids=["report", "word-line"])
+    def test_closed_stdout(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "gtmseq.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(Path(gtmseq.__file__).parents[1])))
+        finally:
+            os.close(write_end)
+        assert child.returncode == 2
+        assert re.fullmatch(r"error: .*Broken pipe\n", child.stderr), child.stderr
 
     @pytest.mark.parametrize("argv", [
         ("gen", TM, "--count", "5000"),

@@ -26,7 +26,7 @@ def readme_commands():
     """(argv, comment) for each ``gtmseq`` line of the README's sh blocks."""
     commands = []
     in_sh = False
-    for line in README.read_text().splitlines():
+    for line in README.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
             in_sh = line == "```sh"
         elif in_sh and line.startswith("gtmseq "):
@@ -41,7 +41,7 @@ COMMANDS = readme_commands()
 
 def readme_tour():
     """Source of the README's one ``python`` block."""
-    lines = README.read_text().splitlines()
+    lines = README.read_text(encoding="utf-8").splitlines()
     start = lines.index("```python") + 1
     return "\n".join(lines[start:lines.index("```", start)])
 
@@ -114,7 +114,7 @@ def test_example_runs(capsys, argv, comment):
 def test_exit_codes_documented_once_and_alike():
     """``gtmseq --help``, the README and the error types list the same codes."""
     epilog = set(re.findall(r"(?:^ +|; )(\d) ", _EPILOG, re.M))
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     paragraph = text[text.index("Exit codes:"):].split("\n\n", 1)[0]
     readme = set(re.findall(r"`(\d)` ", paragraph))
     raised = {str(error.exit_code) for error in vars(errors).values()

@@ -1,9 +1,14 @@
+import errno
+import os
 from dataclasses import replace
 
 import pytest
 
-from gtmseq import KappaSpec, SpecParseError, parse_spec_text, spec_to_text
-from conftest import alternating_spec, random_spec, tm_spec
+from gtmseq import KappaSpec, SpecParseError, parse_spec, parse_spec_text, spec_to_text
+from gtmseq.cli import main
+from conftest import alternating_spec, random_spec, run_child, tm_spec
+
+TM_TEXT = "name = thue-morse\nL = 2\nk = 2\npreperiod = 0\nperiod = 1\nkappa =\n1\n"
 
 
 class TestParse:
@@ -85,3 +90,51 @@ class TestParseErrors:
             parse_spec_text("L = 2\nk = 2\nL = 3\nperiod = 1\nkappa =\n1\n")
         assert exc.value.line == 3
         assert exc.value.exit_code == 2
+
+
+class TestReadFile:
+    """``parse_spec`` reads raw bytes; a text-mode read gives the same spec."""
+
+    @pytest.mark.parametrize("data", [
+        TM_TEXT.replace("\n", "\r\n").encode(),
+        TM_TEXT.replace("\n", "\r").encode(),
+        b"# header\n  # indented comment\n#\n" + TM_TEXT.encode() + b"# trailer",
+        TM_TEXT.replace("thue-morse", "Thue\u2013Morse \u00e9\u03ba").encode(),
+    ], ids=["crlf", "lone-cr", "comment-lines", "utf8-name"])
+    def test_matches_text_read(self, tmp_path, data):
+        path = tmp_path / "x.spec"
+        path.write_bytes(data)
+        want = parse_spec_text(path.read_text(encoding="utf-8"))
+        assert parse_spec(str(path)) == parse_spec(path) == want
+        assert want.table == ((1,),)
+
+    def test_bad_line_number_after_crlf(self, tmp_path):
+        path = tmp_path / "x.spec"
+        path.write_bytes(b"L = 2\r\nk = 2\r\rbogus = 3\r\n")
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(path)
+        assert exc.value.line == 4
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "x.spec"
+        path.write_bytes(TM_TEXT.replace("thue-morse", "\u00e9").encode())
+        code = f"from gtmseq import parse_spec\nprint(parse_spec({str(path)!r}).name == '\\xe9')\n"
+        lines, _ = run_child(code, LC_ALL="C", PYTHONUTF8="0")
+        assert lines == ["True"]
+
+    def test_int_path_is_type_error(self):
+        with pytest.raises(TypeError):
+            parse_spec(3)  # not read as a file descriptor
+
+    def test_unreadable_files_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.spec"
+        bad.write_bytes(b"L = 2\nname = a\xffb\n")
+        missing = str(tmp_path / "missing.spec")
+        for path, message in [
+            (str(bad), "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+            (str(tmp_path), str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                                  str(tmp_path)))),
+            (missing, str(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), missing))),
+        ]:
+            assert main(["classify", path]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
