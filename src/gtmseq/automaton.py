@@ -81,7 +81,7 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     then drops that row with the states it added, so every state but the
     root is the target of a recorded transition.  A closure that grows
     past ``word_budget()`` states within ``max_states`` fails
-    ``check_budget``.
+    ``check_budget``; a ``max_states`` below 1 is a ValueError.
 
     Cost: one column read per canonical shift and one dict lookup per
     transition.  Each shift's move, the digit steps kappa(., shift) with
@@ -90,6 +90,8 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     int (offset + step) % L looked up in one dict, and a ``KernelState``
     is built only for a new state.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
     L = spec.L
     root = spec.canonical_column(0)
     states = [KernelState(shift=root, offset=0)]

@@ -25,7 +25,7 @@ from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
 from .errors import GtmseqError
 from .expansion import expand, gap_multiple
-from .kappa import _morphic_word, equally_spaced, spaced_indices, word_budget
+from .kappa import equally_spaced, generate_prefix_morphic, spaced_indices, word_budget
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
@@ -61,7 +61,7 @@ def _gen(spec, args):
     if args.mode != "digit":
         indices = spaced_indices(args.N, args.l, args.count)
         m = expand(int(indices.max(initial=0)), spec.k).length
-        words.append(_morphic_word(spec, m)[indices].tolist())
+        words.append(generate_prefix_morphic(spec, m)[indices].tolist())
     result = {"values": words[0]}
     line = _word_str(words[0])
     if len(words) == 2:

@@ -284,20 +284,14 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     return out.reshape(idx.shape)
 
 
-def generate_prefix_morphic(spec: KappaSpec, m: int) -> list[int]:
-    """Prefix of length k**m by word substitution.
+def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
+    """Prefix of length k**m by word substitution, as an int64 array.
 
     Starts from [0]; step y replaces the word w by the k blocks
     w + kappa(s, y) mod L, s = 0..k-1 with kappa(0, y) = 0.  The one
     substitution kernel; the word lists the root-of-unity exponents of the
     coefficients of prod_{y<m} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)).
-    ``_morphic_word`` builds it as an int64 array, from which ``gtmseq
-    gen`` gathers its window in numpy and converts only those letters.
     """
-    return _morphic_word(spec, m).tolist()
-
-
-def _morphic_word(spec: KappaSpec, m: int) -> np.ndarray:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m:

@@ -214,7 +214,8 @@ def gen_line_literal(spec, mode, N, l, count):
     if mode != "morphic":
         words.append(list(equally_spaced(spec, N, l, count).values))
     indices = spaced_indices(N, l, count).tolist()
-    word = generate_prefix_morphic(spec, expand(max(indices, default=0), spec.k).length)
+    m = expand(max(indices, default=0), spec.k).length
+    word = generate_prefix_morphic(spec, m).tolist()
     words.append([word[i] for i in indices])
     line = ("" if max(words[0], default=0) < 10 else " ").join(map(str, words[0]))
     if len(words) == 2:

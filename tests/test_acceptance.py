@@ -95,7 +95,7 @@ def test_criterion_03_generating_function_identity(report):
         coefficients = literal_product(spec, 5)
         assert sorted(coefficients) == list(range(spec.k**6))
         exponents = [coefficients[n] for n in range(spec.k**6)]
-        assert exponents == generate_prefix_morphic(spec, 6)
+        assert exponents == generate_prefix_morphic(spec, 6).tolist()
         assert exponents == a_values(spec, np.arange(spec.k**6)).tolist()
     report(3, f"{CORPUS_SIZE} specs, all n < k^6, literal product = both routes")
 

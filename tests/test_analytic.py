@@ -71,7 +71,7 @@ class TestProductCoefficients:
             coefficients = literal_product(spec, 5)
             assert sorted(coefficients) == list(range(spec.k**6))
             exponents = [coefficients[n] for n in range(spec.k**6)]
-            assert exponents == generate_prefix_morphic(spec, 6)
+            assert exponents == generate_prefix_morphic(spec, 6).tolist()
             assert exponents == a_values(spec, np.arange(spec.k**6)).tolist()
 
 

@@ -110,6 +110,11 @@ class TestKernelExplore:
         assert result.transitions == ()
         assert result.outputs == (0,)
 
+    @pytest.mark.parametrize("max_states", [0, -5])
+    def test_max_states_below_one_rejected(self, tm, max_states):
+        with pytest.raises(ValueError, match=f"^max_states must be >= 1, got {max_states}$"):
+            kernel_explore(tm, max_states)
+
     def test_budget_bounds_states_exactly(self, tm, monkeypatch):
         # the Thue-Morse closure has 2 states: a budget of 2 admits it, 1 does not
         monkeypatch.setenv("GTMSEQ_BUDGET", "2")

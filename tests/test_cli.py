@@ -335,6 +335,12 @@ class TestKernel:
         _, out2, _ = run(capsys, "kernel", ALTERNATING)
         assert out1 == out2
 
+    @pytest.mark.parametrize("max_states", ["0", "-5"])
+    def test_max_states_below_one_is_usage_error(self, capsys, max_states):
+        code, out, err = run(capsys, "kernel", TM, "--max-states", max_states)
+        assert (code, out) == (2, "")
+        assert f"error: max_states must be >= 1, got {max_states}" in err
+
     def test_states_past_budget_exit_5(self, tmp_path, capsys, monkeypatch):
         # With L = 2**57 nearly every state is new: max_states does not stop
         # the closure, so the budget has to.

@@ -5,7 +5,8 @@ process whose address space is capped (``RLIMIT_AS``, set on the child
 only) and whose ``GTMSEQ_BUDGET`` is small.  The child feeds a fixed-seed
 set of argument lists, over every subcommand and over malformed and
 out-of-range spec text, to ``cli.main`` and prints one exit code per
-line.  Any exception that escapes ``main`` is printed as a traceback.
+line, then does the same for ``LARGE_L_CASES``.  Any exception that
+escapes ``main`` is printed as a traceback.
 """
 
 import contextlib
@@ -24,6 +25,18 @@ SEED = 20141017
 CASES = 500
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 EDGE_INTS = [0, -1, 2**63, 2**64]
+WIDE_SPEC = f"L = {2**57}\nk = 3\npreperiod = 0\nperiod = 3\nkappa =\n1 2 3\n5 7 11\n"
+# (spec text, argv after the spec file) whose work grows with L, so the
+# small budget has to refuse each one (exit 5).
+LARGE_L_CASES = [
+    # NonPeriodic, L = 10**6: 1,000,001 block shifts
+    (f"L = {10**6}\nk = 2\npreperiod = 0\nperiod = 1\nkappa =\n1\n",
+     ["stammer", "0", "1", "4"]),
+    # nearly every state of the closure is new
+    (WIDE_SPEC, ["kernel", "--max-states", "4096"]),
+    # the convergents grow past the budget in words
+    (WIDE_SPEC, ["cf", "0", "1", "--depth", "300"]),
+]
 
 
 def fuzz_int(rng):
@@ -97,15 +110,24 @@ def fuzz_argv(rng, specfile):
     return argv
 
 
-def run_cases(workdir):
-    """Run every fuzzed argv through ``cli.main``; print one exit code per line."""
-    from gtmseq.cli import main
-
+def cases(workdir):
+    """(spec file, its text, argv): the fuzzed cases, then ``LARGE_L_CASES``."""
     rng = random.Random(SEED)
     for n in range(CASES):
         specfile = Path(workdir) / f"case{n}.spec"
-        specfile.write_text(spec_text(rng))
-        argv = fuzz_argv(rng, str(specfile))
+        text = spec_text(rng)
+        yield specfile, text, fuzz_argv(rng, str(specfile))
+    for n, (text, (command, *rest)) in enumerate(LARGE_L_CASES):
+        specfile = Path(workdir) / f"large{n}.spec"
+        yield specfile, text, [command, str(specfile), *rest]
+
+
+def run_cases(workdir):
+    """Run every case's argv through ``cli.main``; print one exit code per line."""
+    from gtmseq.cli import main
+
+    for specfile, text, argv in cases(workdir):
+        specfile.write_text(text)
         escaped = None
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -137,8 +159,9 @@ def test_fuzzed_cli_exit_codes(tmp_path):
     assert child.returncode == 0, child.stderr
     assert "Traceback" not in child.stderr
     codes = [int(line) for line in child.stdout.split()]
-    assert len(codes) == CASES
+    assert len(codes) == CASES + len(LARGE_L_CASES)
     assert set(codes) <= EXIT_CODES
+    assert codes[CASES:] == [5] * len(LARGE_L_CASES)
 
 
 if __name__ == "__main__":

@@ -68,33 +68,65 @@ class TestAOfN:
                 assert a_of_n(spec, n + m) == (a_of_n(spec, n) + a_of_n(spec, m)) % spec.L
 
 
+@st.composite
+def morphic_cases(draw):
+    """(spec, m): k <= 6, L at the int64 edges or random, periodic or finite-window.
+
+    m runs to one past the largest m with k**m <= 4096, so for k <= 5 it
+    can pass every finite window (at most 5 columns).
+    """
+    L = draw(st.one_of(st.sampled_from([2, 3, 255, 2**57 - 1, 2**57]), st.integers(2, 2**57)))
+    k = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        y0, p, cols = 0, None, draw(st.integers(1, 5))
+    else:
+        y0, p = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        cols = y0 + p
+    letters = st.one_of(st.sampled_from([0, L - 1]), st.integers(0, L - 1))
+    table = tuple(
+        tuple(draw(st.lists(letters, min_size=cols, max_size=cols))) for _ in range(k - 1)
+    )
+    spec = KappaSpec(L=L, k=k, preperiod=y0, period=p, table=table,
+                     window=None if p else cols)
+    m_max = next(m for m in range(13) if k ** (m + 1) > 4096)
+    return spec, draw(st.integers(0, m_max + 1))
+
+
 class TestMorphic:
     def test_thue_morse_words(self, tm):
-        assert generate_prefix_morphic(tm, 2) == [0, 1, 1, 0]
-        assert generate_prefix_morphic(tm, 3) == [0, 1, 1, 0, 1, 0, 0, 1]
+        assert generate_prefix_morphic(tm, 2).tolist() == [0, 1, 1, 0]
+        assert generate_prefix_morphic(tm, 3).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
 
     def test_zero_map_word(self):
         spec = zero_spec(2, 3)
-        assert generate_prefix_morphic(spec, 4) == [0] * 3**4
+        assert generate_prefix_morphic(spec, 4).tolist() == [0] * 3**4
 
-    def test_agrees_with_digit_counting(self, rng):
-        for _ in range(12):
-            spec = random_spec(rng, k_max=4)
-            m = 6 if spec.k == 2 else 4
-            word = generate_prefix_morphic(spec, m)
-            assert word == [a_of_n(spec, n) for n in range(spec.k**m)]
+    @settings(max_examples=100, deadline=None)
+    @given(morphic_cases())
+    def test_agrees_with_digit_counting(self, case):
+        spec, m = case
+        indices = np.arange(spec.k**m, dtype=np.int64)
+        if spec.is_finite_window and m > spec.window:
+            with pytest.raises(WindowExceededError):
+                generate_prefix_morphic(spec, m)
+            with pytest.raises(WindowExceededError):
+                a_values(spec, indices)
+            return
+        word = generate_prefix_morphic(spec, m)
+        assert word.dtype == np.int64
+        assert word.tolist() == a_values(spec, indices).tolist()
 
-    def test_letters_are_python_ints(self, rng):
+    def test_letters_are_int64(self, rng):
         for _ in range(4):
             word = generate_prefix_morphic(random_spec(rng), 3)
-            assert {type(c) for c in word} == {int}
+            assert isinstance(word, np.ndarray) and word.dtype == np.int64
 
     def test_prefix_stability(self, rng):
         for _ in range(8):
             spec = random_spec(rng, k_max=3)
-            prev = generate_prefix_morphic(spec, 0)
+            prev = generate_prefix_morphic(spec, 0).tolist()
             for m in range(1, 7):
-                cur = generate_prefix_morphic(spec, m)
+                cur = generate_prefix_morphic(spec, m).tolist()
                 assert cur[: len(prev)] == prev
                 prev = cur
 
@@ -370,7 +402,7 @@ class TestModulusBound:
         spec = KappaSpec(L=L, k=2, preperiod=0, period=1, table=((L - 1,),))
         n = 2**63 - 1
         assert int(a_values(spec, [n])[0]) == a_of_n(spec, n) == (63 * (L - 1)) % L
-        assert generate_prefix_morphic(spec, 3) == [a_of_n(spec, i) for i in range(8)]
+        assert generate_prefix_morphic(spec, 3).tolist() == [a_of_n(spec, i) for i in range(8)]
 
     @pytest.mark.parametrize("m, values", [
         # a_values: slab sums of up to 63 letters below L = 2**57

@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gtmseq import (
+    KappaSpec,
     MTooSmallError,
     PeriodicSpecError,
     a_of_n,
     build_witness,
+    classify,
     equally_spaced,
     min_legal_m,
     verify_witness,
@@ -57,8 +60,6 @@ class TestBuildWitness:
         built = 0
         while built < 8:
             spec = random_spec(rng, L_max=4, k_max=4, y0_max=2, p_max=3)
-            from gtmseq import classify
-
             if not classify(spec).is_non_periodic:
                 continue
             N, l = rng.randint(0, 2), rng.randint(1, 3)
@@ -93,6 +94,28 @@ class TestBuildWitness:
             for _ in range(25):
                 n = rng.randrange(block)
                 assert a_of_n(tm, n + block * t * l) == (a_of_n(tm, n) + shift) % tm.L
+
+
+@st.composite
+def non_periodic_specs(draw):
+    """Small random specs that ``classify`` calls NonPeriodic."""
+    L, k = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    y0, p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, L - 1), min_size=y0 + p, max_size=y0 + p)
+    spec = KappaSpec(L=L, k=k, preperiod=y0, period=p,
+                     table=tuple(tuple(draw(row)) for _ in range(k - 1)))
+    assume(classify(spec).is_non_periodic)
+    return spec
+
+
+class TestWitnessProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(non_periodic_specs(), st.integers(0, 8), st.integers(1, 8), st.integers(0, 2))
+    def test_verifies_against_digit_route(self, spec, N, l, extra):
+        witness = build_witness(spec, N, l, min_legal_m(N, l, spec.k) + extra)
+        window = equally_spaced(spec, N, l, len(witness.prefix_word()))
+        ok, diag = verify_witness(window, witness)
+        assert ok, diag
 
 
 def pigeonhole_oracle(spec, l, m):
