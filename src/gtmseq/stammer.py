@@ -26,7 +26,6 @@ __all__ = [
     "StammerWitness",
     "build_witness",
     "verify_witness",
-    "witness_family",
     "min_legal_m",
 ]
 
@@ -133,7 +132,8 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     assert len(U) <= outer
     assert witness.w2_len >= Fraction(block - N, l) - 1
     assert witness.w2_len + witness.w3_len <= outer
-    assert witness.fractional_tail_length() <= Fraction(block, 2 * l)
+    # (w - 1)|V| <= L k**m / (2Ll + 3) < k**m / (2l), as |V| <= L k**m.
+    assert (w - floor(w)) * len(V) <= Fraction(block, 2 * l)
     assert witness.fractional_tail_length() < witness.w2_len
     assert Fraction(len(U), len(V)) <= witness.ratio_bound
     # The repeated block really repeats.
@@ -166,11 +166,3 @@ def verify_witness(window: SequenceWindow, witness: StammerWitness):
         return True, {"prefix_length": len(pattern)}
     i = next(i for i, (got, want) in enumerate(zip(values, pattern)) if got != want)
     return False, {"mismatch_index": i, "expected": pattern[i], "actual": values[i]}
-
-
-def witness_family(spec: KappaSpec, N: int, l: int, m_range) -> list[StammerWitness]:
-    """Witnesses for each m in m_range; |V_m| must strictly increase."""
-    witnesses = [build_witness(spec, N, l, m) for m in m_range]
-    for prev, cur in zip(witnesses, witnesses[1:]):
-        assert len(cur.V) > len(prev.V), "repetition blocks must grow with m"
-    return witnesses

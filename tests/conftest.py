@@ -71,6 +71,12 @@ def alternating_spec():
     return KappaSpec(L=2, k=2, preperiod=0, period=2, table=((0, 1),), name="alternating")
 
 
+def tail_rounding_spec():
+    # For N = 0, l = 7, m = 4 the witness tail (w - 1)|V| = 162/31 is within
+    # k**m/(2l) = 81/14, while its ceiling 6 is not.
+    return KappaSpec(L=2, k=3, preperiod=1, period=3, table=((0, 1, 0, 0), (0, 0, 0, 0)))
+
+
 def power_residue_cycle(k, L):
     """(preperiod, cycle length) of the sequence k**y mod L, by walking it."""
     seen = {}

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -12,12 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gtmseq
-from gtmseq import KappaSpec, __version__, a_of_n, cli, spec_to_text
+from gtmseq import (
+    KappaSpec,
+    StammerWitness,
+    __version__,
+    a_of_n,
+    cli,
+    equally_spaced,
+    spec_to_text,
+    verify_witness,
+)
 from gtmseq.analytic import eval_series
 from gtmseq.cli import main
 from gtmseq.expansion import expand
 from gtmseq.specfile import parse_spec
-from conftest import gen_line_literal
+from conftest import gen_line_literal, tail_rounding_spec
 
 
 def spec_path(name):
@@ -310,6 +320,25 @@ class TestStammer:
         result = json.loads(out)["result"]
         assert (result["U"], result["V"]) == (U, V)
         assert (result["U_length"], result["V_length"]) == (8, 8)
+
+    def test_tail_bound_exact_not_rounded(self, tmp_path, capsys):
+        spec = tail_rounding_spec()
+        path = tmp_path / "tail.spec"
+        path.write_text(spec_to_text(spec))
+        code, out, _ = run(capsys, "stammer", str(path), "0", "7", "4")
+        assert code == 0
+        r = json.loads(out)["result"]
+        block = spec.k ** r["m"]
+        U, V = tuple(map(int, r["U"])), tuple(map(int, r["V"]))
+        witness = StammerWitness(
+            U=U, V=V, w=Fraction(r["w_numerator"], r["w_denominator"]),
+            m=r["m"], N=r["N"], l=r["l"], L=spec.L,
+            w2_len=r["repeated_block_length"], w3_len=r["spacer_length"],
+            t=len(U) // block, t_prime=(len(U) + len(V)) // block,
+        )
+        window = equally_spaced(spec, 0, 7, len(witness.prefix_word()))
+        ok, diag = verify_witness(window, witness)
+        assert ok, diag
 
     def test_periodic_refusal_exit_code(self, capsys):
         code, _, err = run(capsys, "stammer", PERIODIC, "0", "1", "6")

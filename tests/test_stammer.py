@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gtmseq import (
     KappaSpec,
@@ -15,9 +15,8 @@ from gtmseq import (
     equally_spaced,
     min_legal_m,
     verify_witness,
-    witness_family,
 )
-from conftest import alternating_spec, constant_spec, random_spec
+from conftest import alternating_spec, constant_spec, random_spec, tail_rounding_spec
 
 
 class TestMinLegalM:
@@ -71,6 +70,7 @@ class TestBuildWitness:
             assert len(witness.U) <= outer
             assert witness.w2_len >= Fraction(block - N, l) - 1
             assert len(witness.V) <= outer
+            assert (witness.w - 1) * len(witness.V) <= Fraction(block, 2 * l)
             need = len(witness.prefix_word())
             window = equally_spaced(spec, N, l, need + 5)
             ok, diag = verify_witness(window, witness)
@@ -111,6 +111,7 @@ def non_periodic_specs(draw):
 class TestWitnessProperty:
     @settings(max_examples=100, deadline=None)
     @given(non_periodic_specs(), st.integers(0, 8), st.integers(1, 8), st.integers(0, 2))
+    @example(tail_rounding_spec(), 0, 7, 0)
     def test_verifies_against_digit_route(self, spec, N, l, extra):
         witness = build_witness(spec, N, l, min_legal_m(N, l, spec.k) + extra)
         window = equally_spaced(spec, N, l, len(witness.prefix_word()))
@@ -201,8 +202,10 @@ def test_malformed_witness_rejected(tm, malform, reason):
 
 
 class TestWitnessFamily:
+    """|V_m| -> infinity along build_witness(spec, N, l, m), as [ABL] needs."""
+
     def test_thue_morse_growing_blocks(self, tm):
-        family = witness_family(tm, 0, 1, range(4, 10))
+        family = [build_witness(tm, 0, 1, m) for m in range(4, 10)]
         lengths = [len(w.V) for w in family]
         assert lengths == sorted(set(lengths))
         for witness in family:
@@ -213,7 +216,7 @@ class TestWitnessFamily:
     def test_constant_base_two_family(self):
         spec = constant_spec(3, 2, (1,))
         m0 = min_legal_m(0, 1, spec.k)
-        family = witness_family(spec, 0, 1, range(m0, m0 + 4))
+        family = [build_witness(spec, 0, 1, m) for m in range(m0, m0 + 4)]
         assert all(
             len(b.V) > len(a.V) for a, b in zip(family, family[1:])
         )
@@ -223,10 +226,21 @@ class TestWitnessFamily:
         # so a strictly growing family is taken along a fixed parity.
         spec = alternating_spec()
         m0 = min_legal_m(0, 1, spec.k)
-        family = witness_family(spec, 0, 1, range(m0, m0 + 7, 2))
+        family = [build_witness(spec, 0, 1, m) for m in range(m0, m0 + 7, 2)]
         assert all(
             len(b.V) > len(a.V) for a, b in zip(family, family[1:])
         )
 
-    def test_empty_range(self, tm):
-        assert witness_family(tm, 0, 1, range(0)) == []
+    def test_alternating_consecutive_m_need_not_grow(self):
+        spec = alternating_spec()
+        lengths = [len(build_witness(spec, 0, 1, m).V) for m in range(3, 10)]
+        assert lengths == [16, 16, 64, 64, 256, 256, 1024]
+
+    @settings(max_examples=50, deadline=None)
+    @given(non_periodic_specs(), st.integers(0, 8), st.integers(1, 8), st.integers(0, 2))
+    def test_grows_within_j_steps(self, spec, N, l, extra):
+        # |V_m| = (t' - t) k**m with 1 <= t' - t <= L, so k**j > L makes
+        # |V_(m+j)| >= k**(m+j) > L k**m >= |V_m|.
+        j = next(j for j in range(1, spec.L + 1) if spec.k**j > spec.L)
+        m = min_legal_m(N, l, spec.k) + extra
+        assert len(build_witness(spec, N, l, m + j).V) > len(build_witness(spec, N, l, m).V)
