@@ -63,9 +63,8 @@ def eval_series(
         raise ValueError(f"digits must be >= 1, got {digits}")
     # beta**c >= 10 for c, the base-beta length of 9, so beta**-T < 10**-digits.
     T = digits * expand(9, beta).length + 2
-    lo = Fraction(_horner_numerator(spec, N, l, beta, T), beta**T)
-    hi = lo + Fraction(1, beta**T)
-    return lo, hi
+    num, den = _horner_numerator(spec, N, l, beta, T), beta**T
+    return Fraction(num, den), Fraction(num + 1, den)
 
 
 def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int) -> Fraction:

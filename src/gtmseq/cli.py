@@ -20,12 +20,14 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
 from .errors import GtmseqError
 from .expansion import expand, gap_multiple
-from .kappa import equally_spaced, generate_prefix_morphic, spaced_indices, word_budget
+from .kappa import a_values, generate_prefix_morphic, spaced_indices, word_budget
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
@@ -55,17 +57,18 @@ def _word_str(values) -> str:
 
 
 def _gen(spec, args):
+    indices = spaced_indices(args.N, args.l, args.count)
     words = []
     if args.mode != "morphic":
-        words.append(list(equally_spaced(spec, args.N, args.l, args.count).values))
+        words.append(a_values(spec, indices))
     if args.mode != "digit":
-        indices = spaced_indices(args.N, args.l, args.count)
         m = expand(int(indices.max(initial=0)), spec.k).length
-        words.append(generate_prefix_morphic(spec, m)[indices].tolist())
-    result = {"values": words[0]}
-    line = _word_str(words[0])
+        words.append(generate_prefix_morphic(spec, m)[indices])
+    values = words[0].tolist()
+    result = {"values": values}
+    line = _word_str(values)
     if len(words) == 2:
-        result["agree"] = words[0] == words[1]
+        result["agree"] = np.array_equal(*words)
         line += " AGREE" if result["agree"] else " DISAGREE"
     return result if args.json else line
 
@@ -107,19 +110,15 @@ def _stammer(spec, args):
     }
 
 
-def _truncated_decimal(value, digits: int) -> str:
-    scaled = (value.numerator * 10**digits) // value.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}"
-
-
 def _eval(spec, args):
     lo, hi = eval_series(spec, args.N, args.l, args.beta, args.digits)
-    lo_text = _truncated_decimal(lo, args.digits)
-    hi_text = _truncated_decimal(hi, args.digits)
+    digits, step = args.digits, 10**args.digits
+    scaled = lo.numerator * step // lo.denominator
+    text = str(scaled).rjust(digits + 1, "0")
     return {
-        "decimal": lo_text,
-        "decimal_settled": lo_text == hi_text,
+        "decimal": f"{text[:-digits]}.{text[-digits:]}",
+        # hi > lo truncates to the same digits iff it lies below (scaled + 1) / step.
+        "decimal_settled": hi.numerator * step < (scaled + 1) * hi.denominator,
         "lo": f"{lo.numerator}/{lo.denominator}",
         "hi": f"{hi.numerator}/{hi.denominator}",
     }

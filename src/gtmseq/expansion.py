@@ -60,9 +60,6 @@ class GapMultipleResult:
     leading_exponent: int
     gap: int
 
-    def gap_exceeds(self, t: int) -> bool:
-        return self.gap > t
-
 
 def expand(n: int, k: int) -> DigitExpansion:
     """Base-k expansion of n as (coefficient, exponent) terms.
@@ -131,6 +128,6 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     assert lead_s == 1, "constructive witness must have leading coefficient 1"
     gap = exp.terms[1][1] - lead_w
     result = GapMultipleResult(x=x, expansion=exp, leading_exponent=lead_w, gap=gap)
-    assert result.gap_exceeds(t)
+    assert result.gap > t
     return result
 

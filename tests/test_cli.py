@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from gtmseq import (
     a_of_n,
     cli,
     equally_spaced,
+    generate_prefix_morphic,
     spec_to_text,
     verify_witness,
 )
@@ -193,6 +196,23 @@ class TestGen:
                 assert code == 0
                 word, tag = out.split()
                 assert (len(word), tag) == (count, "AGREE")
+
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_routes_disagree(self, capsys, monkeypatch, json_flag):
+        def flipped(spec, m):
+            word = generate_prefix_morphic(spec, m)
+            word[3] = (word[3] + 1) % spec.L
+            return word
+
+        monkeypatch.setattr(cli, "generate_prefix_morphic", flipped)
+        argv = ["gen", TM, "--count", "8", "--mode", "both"] + ["--json"] * json_flag
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        if json_flag:
+            result = json.loads(out)["result"]
+            assert result == {"values": [0, 1, 1, 0, 1, 0, 0, 1], "agree": False}
+        else:
+            assert out == "01101001 DISAGREE\n"
 
     @pytest.mark.parametrize("mode,expected", [
         ("digit", "\n"), ("morphic", "\n"), ("both", " AGREE\n"),
@@ -392,6 +412,35 @@ class TestEval:
         report = json.loads(out)
         assert report["result"]["decimal"] == "0.412454033640"
         assert report["result"]["decimal_settled"] is True
+
+    @pytest.mark.parametrize("N, l, decimal, hi", [
+        (0, 7, "0.4", "1/2"),  # hi lies exactly on the next step, 0.5
+        (1, 6, "0.9", "1/1"),  # hi carries into the integer part
+    ])
+    def test_unsettled_decimal(self, capsys, N, l, decimal, hi):
+        code, out, _ = run(capsys, "eval", TM, str(N), str(l), "--beta", "2", "--digits", "1")
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert (result["decimal"], result["decimal_settled"], result["hi"]) == (decimal, False, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10**9),
+           st.one_of(st.integers(1, 10**9), st.integers(0, 9).map(lambda e: 10**e)),
+           st.integers(1, 10**4), st.integers(0, 9))
+    def test_settled_iff_endpoints_truncate_alike(self, digits, num, den, width, scale):
+        """Any enclosure lo < hi, decimal ones included, so hi can sit on a step."""
+        lo = Fraction(num, den)
+        hi = lo + Fraction(width, 10**scale)
+
+        def truncated(value):  # the two-truncation oracle
+            text = str(value.numerator * 10**digits // value.denominator).rjust(digits + 1, "0")
+            return f"{text[:-digits]}.{text[-digits:]}"
+
+        args = argparse.Namespace(N=0, l=1, beta=2, digits=digits)
+        with mock.patch.object(cli, "eval_series", lambda *_: (lo, hi)):
+            result = cli._eval(None, args)
+        assert result["decimal"] == truncated(lo)
+        assert result["decimal_settled"] == (truncated(lo) == truncated(hi))
 
     def test_interval_endpoints_parse(self, capsys):
         _, out, _ = run(capsys, "eval", TM, "0", "1", "--beta", "3", "--digits", "6")
