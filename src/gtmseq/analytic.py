@@ -89,19 +89,18 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int) -> ConvergentList:
     """Continued fraction [0: a(N) + 1, a(N+l) + 1, ...] to ``depth`` quotients."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    vals = a_values(spec, spaced_indices(N, l, depth)).tolist()
-    quotients = [0] + [v + 1 for v in vals]
+    quotients = [0] + (a_values(spec, spaced_indices(N, l, depth)) + 1).tolist()
     # p_n, q_n have <= n * bit_length(max quotient) bits: count 64-bit limbs.
     check_budget(depth * depth * max(quotients).bit_length() // 64)
 
-    convergents = []
     p_prev, q_prev = 1, 0
     p, q = quotients[0], 1  # p_0 = a_0 = 0, q_0 = 1
-    convergents.append((p, q))
+    convergents = [(p, q)]
+    sign = -1  # the determinant (-1)^(n+1) at n = 0
     for i, a in enumerate(quotients[1:], start=1):
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
         convergents.append((p, q))
-        det = p * q_prev - p_prev * q
-        assert det == (-1) ** (i + 1), f"determinant identity broken at n={i}"
+        sign = -sign
+        assert p * q_prev - p_prev * q == sign, f"determinant identity broken at n={i}"
     return ConvergentList(quotients=tuple(quotients), convergents=tuple(convergents))

@@ -14,6 +14,7 @@ library error carries its exit code as ``exit_code``.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -48,12 +49,50 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 def _word_str(values) -> str:
     """Letters run together when every one is below 10, else space-separated.
 
-    The run-together form maps the letters, as bytes, to their digits in
-    one ``translate`` pass instead of one ``str`` call per letter.
+    ``values`` is any sequence of ints.  The run-together form maps the
+    letters, as bytes, to their digits in one ``translate`` pass instead
+    of one ``str`` call per letter.
     """
-    if max(values, default=0) < 10:
-        return bytes(values).translate(_DIGITS).decode()
-    return " ".join(map(str, values))
+    word = np.asarray(values, dtype=np.int64)
+    if word.max(initial=0) < 10:
+        return word.astype(np.uint8).tobytes().translate(_DIGITS).decode()
+    return " ".join(map(str, word.tolist()))
+
+
+_SPLIT_BITS = 4096
+
+
+def _decimal_str(n: int) -> str:
+    """``str(n)``, in subquadratic time for big n.
+
+    Python 3.11 converts an int to decimal in time quadratic in its
+    length.  Past 4,096 bits n is split by bits, recursively, and rebuilt
+    as an exact ``decimal.Decimal``, whose products are subquadratic
+    (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7).
+    """
+    if n.bit_length() < _SPLIT_BITS:
+        return str(n)
+    powers = {}  # e -> 2**e as a Decimal, shared by the halves of one level
+
+    def power(e):
+        if e not in powers:
+            if e < _SPLIT_BITS:
+                powers[e] = decimal.Decimal(1 << e)
+            else:
+                powers[e] = power(e // 2) * power(e - e // 2)
+        return powers[e]
+
+    def convert(x, bits):
+        if bits < _SPLIT_BITS:
+            return decimal.Decimal(x)
+        half = bits // 2
+        high = x >> half
+        return convert(high, bits - half) * power(half) + convert(x - (high << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
 
 
 def _gen(spec, args):
@@ -64,13 +103,16 @@ def _gen(spec, args):
     if args.mode != "digit":
         m = expand(int(indices.max(initial=0)), spec.k).length
         words.append(generate_prefix_morphic(spec, m)[indices])
-    values = words[0].tolist()
-    result = {"values": values}
-    line = _word_str(values)
-    if len(words) == 2:
-        result["agree"] = np.array_equal(*words)
-        line += " AGREE" if result["agree"] else " DISAGREE"
-    return result if args.json else line
+    agree = np.array_equal(*words) if len(words) == 2 else None
+    if args.json:
+        result = {"values": words[0].tolist()}
+        if agree is not None:
+            result["agree"] = agree
+        return result
+    line = _word_str(words[0])
+    if agree is not None:
+        line += " AGREE" if agree else " DISAGREE"
+    return line
 
 
 def _classify(spec, args):
@@ -114,13 +156,13 @@ def _eval(spec, args):
     lo, hi = eval_series(spec, args.N, args.l, args.beta, args.digits)
     digits, step = args.digits, 10**args.digits
     scaled = lo.numerator * step // lo.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _decimal_str(scaled).rjust(digits + 1, "0")
     return {
         "decimal": f"{text[:-digits]}.{text[-digits:]}",
         # hi > lo truncates to the same digits iff it lies below (scaled + 1) / step.
         "decimal_settled": hi.numerator * step < (scaled + 1) * hi.denominator,
-        "lo": f"{lo.numerator}/{lo.denominator}",
-        "hi": f"{hi.numerator}/{hi.denominator}",
+        "lo": f"{_decimal_str(lo.numerator)}/{_decimal_str(lo.denominator)}",
+        "hi": f"{_decimal_str(hi.numerator)}/{_decimal_str(hi.denominator)}",
     }
 
 
@@ -135,7 +177,7 @@ def _cf(spec, args):
 def _gap(spec, args):
     result = gap_multiple(args.l, args.k, args.t)
     return {
-        "x": str(result.x),
+        "x": _decimal_str(result.x),
         "leading_exponent": result.leading_exponent,
         "gap": result.gap,
         "expansion": [[s, w] for s, w in result.expansion.terms],

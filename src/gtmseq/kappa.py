@@ -291,16 +291,23 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
     w + kappa(s, y) mod L, s = 0..k-1 with kappa(0, y) = 0.  The one
     substitution kernel; the word lists the root-of-unity exponents of the
     coefficients of prod_{y<m} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)).
+
+    The word is built in the narrowest unsigned dtype that holds a sum
+    2L - 2 of two letters.  There x - L wraps above x when x < L, so
+    min(x, x - L) is x mod L, without numpy's per-element remainder.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m:
         spec.column(m - 1)  # a finite window fails here, before the budget
     check_budget(spec.k**m)
-    word = np.zeros(1, dtype=np.int64)
+    dtype = np.min_scalar_type(2 * spec.L - 2)
+    L = dtype.type(spec.L)
+    word = np.zeros(1, dtype=dtype)
     for y in range(m):
-        word = (np.add.outer((0,) + spec.column(y), word) % spec.L).ravel()
-    return word
+        word = np.add.outer(np.array((0,) + spec.column(y), dtype=dtype), word).ravel()
+        np.minimum(word, word - L, out=word)
+    return word.astype(np.int64)
 
 
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:

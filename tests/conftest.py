@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gtmseq
@@ -161,6 +162,25 @@ def periodic_constructed_spec(rng: random.Random, L_max=6, k_max=5, A_max=2):
             ky = pow(k, y - A, L)
             columns.append(tuple((c * s * ky) % L for s in range(1, k)))
     return make_spec(L, k, y0, p, columns), A
+
+
+def generate_prefix_morphic_literal(spec, m):
+    """The substitution kernel as first written: an int64 word reduced
+    with ``% L`` at every step.
+
+    A literal oracle for ``generate_prefix_morphic``, which builds the
+    word in a narrow unsigned dtype; it must return an equal word or raise
+    the same error at the same check.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if m:
+        spec.column(m - 1)  # a finite window fails here, before the budget
+    check_budget(spec.k**m)
+    word = np.zeros(1, dtype=np.int64)
+    for y in range(m):
+        word = (np.add.outer((0,) + spec.column(y), word) % spec.L).ravel()
+    return word
 
 
 def kernel_explore_literal(spec, max_states=4096):

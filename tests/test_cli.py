@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from gtmseq import (
     a_of_n,
     cli,
     equally_spaced,
+    gap_multiple,
     generate_prefix_morphic,
     spec_to_text,
     verify_witness,
@@ -265,6 +268,15 @@ class TestWordStr:
     def test_edges(self, values, line):
         assert cli._word_str(values) == line
 
+    @pytest.mark.parametrize("letters, line", [
+        ([], ""),
+        ([0, 9, 9], "099"),
+        ([9, 10], "9 10"),
+        ([2**57 - 1, 0, 2**57 - 2], f"{2**57 - 1} 0 {2**57 - 2}"),
+    ], ids=["empty", "nine", "ten", "near-2**57"])
+    def test_int64_arrays(self, letters, line):
+        assert cli._word_str(np.array(letters, dtype=np.int64)) == line
+
     def test_random_words_match_join(self, rng):
         for _ in range(300):
             top = rng.choice([1, 9, 10, 11, 255, 2**57 - 1])
@@ -272,6 +284,40 @@ class TestWordStr:
             joined = ("" if max(word, default=0) < 10 else " ").join(map(str, word))
             assert cli._word_str(word) == joined
             assert cli._word_str(tuple(word)) == joined
+            assert cli._word_str(np.array(word, dtype=np.int64)) == joined
+
+
+class TestDecimalStr:
+    @pytest.mark.parametrize("bits", [4094, 4095, 4096, 4097, 8191, 8192, 8193])
+    def test_around_cutoff(self, bits):
+        for n in (2**bits - 1, 2**bits, 2**bits + 1, 2**bits // 3):
+            assert cli._decimal_str(n) == str(n)
+
+    @pytest.mark.parametrize("j", [1, 1232, 1233, 1234, 2466, 4932, 9864, 12041])
+    def test_powers_of_ten(self, j):
+        # 10**1233 has 4,096 bits; 10**12041, about 40,000.
+        with whole_ints():
+            for n in (10**j - 1, 10**j, 10**j + 1):
+                assert cli._decimal_str(n) == str(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+    def test_matches_str(self, n):
+        with whole_ints():
+            assert cli._decimal_str(n) == str(n)
+
+    def test_gap_witness_prints_fast(self):
+        # For l = 2 and k = 5, gap_multiple returns x = D*D*2, where
+        # D = (5**(t+1) + 1) / 2 inverts 2 mod 5**(t+1).  At t = 400,000 x
+        # has 559,178 digits, which str() takes seconds of CPU to print.
+        assert gap_multiple(2, 5, 10).x == (5**11 + 1)**2 // 2
+        x = (5**400_001 + 1)**2 // 2
+        started = time.process_time()
+        text = cli._decimal_str(x)
+        assert time.process_time() - started < 1.0
+        assert len(text) == 559_178
+        assert text[-30:] == str(x % 10**30).rjust(30, "0")
+        assert int(text[:30]) == x // 10**(len(text) - 30)
 
 
 class TestClassify:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gtmseq import (
     BudgetExceededError,
+    GtmseqError,
     KappaSpec,
     WindowExceededError,
     a_of_n,
@@ -18,7 +19,13 @@ from gtmseq import (
     periodic_series_value,
 )
 from gtmseq.kappa import _reduce_mod
-from conftest import alternating_spec, constant_spec, random_spec, zero_spec
+from conftest import (alternating_spec, constant_spec, generate_prefix_morphic_literal,
+                      random_spec, zero_spec)
+
+# Each pair ends one unsigned dtype of generate_prefix_morphic's word and
+# starts the next: the word holds sums up to 2L - 2, so L = 129, 32769 and
+# 2**31 + 1 need a wider dtype than the one holding their letters.
+DTYPE_SWITCHES = [128, 129, 32768, 32769, 2**31, 2**31 + 1]
 
 
 class TestAOfN:
@@ -70,12 +77,14 @@ class TestAOfN:
 
 @st.composite
 def morphic_cases(draw):
-    """(spec, m): k <= 6, L at the int64 edges or random, periodic or finite-window.
+    """(spec, m): k <= 6, L at the int64 edges, at the kernel's dtype
+    switches or random, periodic or finite-window.
 
     m runs to one past the largest m with k**m <= 4096, so for k <= 5 it
     can pass every finite window (at most 5 columns).
     """
-    L = draw(st.one_of(st.sampled_from([2, 3, 255, 2**57 - 1, 2**57]), st.integers(2, 2**57)))
+    edges = [2, 3, 255, 2**57 - 1, 2**57] + DTYPE_SWITCHES
+    L = draw(st.one_of(st.sampled_from(edges), st.integers(2, 2**57)))
     k = draw(st.integers(2, 6))
     if draw(st.booleans()):
         y0, p, cols = 0, None, draw(st.integers(1, 5))
@@ -90,6 +99,15 @@ def morphic_cases(draw):
                      window=None if p else cols)
     m_max = next(m for m in range(13) if k ** (m + 1) > 4096)
     return spec, draw(st.integers(0, m_max + 1))
+
+
+def morphic_outcome(kernel, spec, m):
+    """The word as (dtype, letters), or the error as (type, message)."""
+    try:
+        word = kernel(spec, m)
+    except (ValueError, GtmseqError) as exc:
+        return type(exc), str(exc)
+    return word.dtype, word.tolist()
 
 
 class TestMorphic:
@@ -115,6 +133,36 @@ class TestMorphic:
         word = generate_prefix_morphic(spec, m)
         assert word.dtype == np.int64
         assert word.tolist() == a_values(spec, indices).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(morphic_cases())
+    def test_matches_literal_kernel(self, case):
+        # m = 6 reads past every finite window of morphic_cases.
+        spec, _ = case
+        for m in range(-1, 7):
+            assert morphic_outcome(generate_prefix_morphic, spec, m) == \
+                morphic_outcome(generate_prefix_morphic_literal, spec, m)
+
+    @pytest.mark.parametrize("L", DTYPE_SWITCHES)
+    def test_dtype_switches(self, L):
+        # Every letter is L - 1, so each step reaches the largest sum 2L - 2.
+        spec = constant_spec(L, 3, (L - 1, L - 1))
+        for m in range(7):
+            word = generate_prefix_morphic(spec, m)
+            assert word.tolist() == generate_prefix_morphic_literal(spec, m).tolist()
+        assert word.max() == L - 1
+
+    def test_errors_match_literal_kernel(self, monkeypatch):
+        # The window is read before the budget: m = 3 reads past the
+        # 2-column window, and m = 2 fits it but not the budget of 3 values.
+        monkeypatch.setenv("GTMSEQ_BUDGET", "3")
+        window = KappaSpec(L=2**31 + 1, k=3, preperiod=0, period=None,
+                           table=((2**31, 1), (0, 2**31)), window=2)
+        for m in (-1, 0, 1, 2, 3):
+            outcome = morphic_outcome(generate_prefix_morphic, window, m)
+            assert outcome == morphic_outcome(generate_prefix_morphic_literal, window, m)
+        assert morphic_outcome(generate_prefix_morphic, window, 2)[0] is BudgetExceededError
+        assert morphic_outcome(generate_prefix_morphic, window, 3)[0] is WindowExceededError
 
     def test_letters_are_int64(self, rng):
         for _ in range(4):
