@@ -19,16 +19,21 @@ and the states differ at n = s * k**w for an s with kappa(s, w + c) !=
 kappa(s, w + c').  Digits are read least significant first and a
 trailing 0 digit never changes the output, so Moore equivalence is
 equality of the functions, and a complete closure has exactly as many
-states as the k-kernel has elements.  ``kernel_brute_force`` computes
-every value of every subsequence up to a horizon and groups equal ones,
-an independent lower-bound oracle: it sums digit-route values a(j) +
-a(k**e * n) and never reads the (shift, offset) states.
+states as the k-kernel has elements.
+
+``kernel_brute_force`` is an independent lower-bound oracle: it groups
+equal subsequences up to a horizon from digit-route values alone and
+never reads the (shift, offset) states.  Subsequence (e, j) is the tail
+row a(k**e * n) plus the head a(j) mod L, and its value at n = 0 is the
+head, so it is keyed by (tail row e, head a(j)); only the heads, the
+e_max + 1 tail rows and one prefix per group are materialized.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -139,42 +144,65 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
 
 
 def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
-    """Materialize all kernel subsequences a(k**e * n + j) to length horizon.
+    """Group the kernel subsequences a(k**e * n + j) by their first horizon values.
 
-    Groups them by exact prefix equality; the group count is a lower
-    bound on the kernel size.  Returns {prefix: [(e, j), ...]} with
-    prefixes as tuples of ints, in first-seen order (e, then j).
+    The group count is a lower bound on the kernel size.  Returns
+    {prefix: [(e, j), ...]} over e <= e_max and j < k**e, with prefixes as
+    tuples of ints, groups in first-seen order (e, then j) and members in
+    that order too.
 
     For j < k**e the digits of j and of k**e * n lie at disjoint
-    positions, so a(k**e * n + j) = a(j) + a(k**e * n) mod L: two digit-
-    route calls, the heads a(j) for j < k**e_max and the tails a(k**e * n)
-    for e <= e_max and n < horizon, give every value, and level e is
-    their outer sum, a (k**e, horizon) matrix whose row j is the
-    subsequence (e, j).  Together the calls read the digit positions of
-    k**e_max * horizon - 1, the largest index of the subsequences, so a
-    finite window fails exactly when that index has more digits than it.
+    positions, so subsequence (e, j) is the tail row a(k**e * n), n <
+    horizon, plus the head a(j), mod L.  Its value at n = 0 is the head,
+    as a(0) = 0, so two subsequences are equal exactly when their heads
+    are equal and their tail rows are equal: the group of (e, j) is keyed
+    by (bytes of tail row e, head a(j)).  One digit-route call reads the
+    k**e_max heads and the e_max + 1 tail rows, about k**e_max + (e_max +
+    1) * horizon values in place of k**e_max * horizon; the heads are
+    sorted into classes of equal value, level e takes the js below k**e of
+    each class, and one prefix row is built per group at the end.  The
+    call reads the digit positions of k**e_max * horizon - 1, the largest
+    index of the subsequences, so a finite window fails exactly when that
+    index has more digits than it.
     """
     if e_max < 0 or horizon < 1:
         raise ValueError("need e_max >= 0 and horizon >= 1")
     k, L = spec.k, spec.L
     check_budget(k**e_max * horizon)
-    # Sums lie in [0, 2L - 2].  In an unsigned dtype holding 2L - 2, x - L
-    # wraps above x when x < L, so min(x, x - L) is x mod L.
-    wide = np.min_scalar_type(2 * L - 2)
+    top = k**e_max
     powers = k ** np.arange(e_max + 1, dtype=np.int64)
-    heads = a_values(spec, np.arange(k**e_max, dtype=np.int64)).astype(wide)
-    tails = a_values(spec, np.multiply.outer(powers, np.arange(horizon, dtype=np.int64))).astype(wide)
-    # Every value lies in [0, L), so the narrowest unsigned dtype holding
-    # L - 1 keeps each value, and equal rows have equal bytes: group by
-    # bytes, then build one tuple per distinct row.
-    narrow = np.min_scalar_type(L - 1)
-    key = np.dtype((np.void, horizon * narrow.itemsize))
-    members: defaultdict[bytes, list[tuple[int, int]]] = defaultdict(list)
-    for e in range(e_max + 1):
-        rows = np.add.outer(heads[: k**e], tails[e])
-        np.minimum(rows, rows - L, out=rows)
-        # One void scalar per row; tolist() gives bytes with trailing NULs kept.
-        for j, row in enumerate(rows.astype(narrow, copy=False).view(key).ravel().tolist()):
-            members[row].append((e, j))
-    return {tuple(np.frombuffer(row, dtype=narrow).tolist()): group
-            for row, group in members.items()}
+    tail_indices = np.multiply.outer(powers, np.arange(horizon, dtype=np.int64))
+    indices = np.concatenate((np.arange(top, dtype=np.int64), tail_indices.ravel()))
+    # Every value lies in [0, L): the narrowest unsigned dtype holding L - 1
+    # keeps each one, gives equal rows equal bytes and sorts by radix.
+    values = a_values(spec, indices).astype(np.min_scalar_type(L - 1))
+    heads, tails = values[:top], values[top:].reshape(e_max + 1, horizon)
+    # Each tail row is named by the first level that has it.
+    seen: dict[bytes, int] = {}
+    tail_ids = [seen.setdefault(row.tobytes(), e) for e, row in enumerate(tails)]
+    # Head classes: the js of one head value, ascending (the sort is
+    # stable), and the classes in the order of their first j.
+    order = np.argsort(heads, kind="stable")
+    ranked = heads[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    by_first = np.argsort(order[starts])
+    js, bounds = order.tolist(), np.append(starts, top).tolist()
+    classes = [js[bounds[r] : bounds[r + 1]] for r in by_first.tolist()]
+    first_js = [cls[0] for cls in classes]
+    class_heads = ranked[starts[by_first]]
+    # Level e holds the js below k**e of each class that has started.
+    members: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e, tail in enumerate(tail_ids):
+        limit = k**e
+        for c in range(bisect_left(first_js, limit)):
+            cls = classes[c]
+            members.setdefault((tail, c), []).extend(zip(repeat(e, bisect_left(cls, limit)), cls))
+    # One prefix per group.  Sums lie in [0, 2L - 2]; in an unsigned dtype
+    # holding 2L - 2, x - L wraps above x when x < L, so min(x, x - L) is
+    # x mod L.
+    wide = np.min_scalar_type(2 * L - 2)
+    keys = np.array(list(members))
+    prefixes = tails[keys[:, 0]].astype(wide)
+    prefixes += class_heads[keys[:, 1], None]
+    np.minimum(prefixes, prefixes - L, out=prefixes)
+    return {tuple(prefix): group for prefix, group in zip(prefixes.tolist(), members.values())}

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from gtmseq import (
     a_values,
     kernel_brute_force,
     kernel_explore,
+    parse_spec,
 )
 from gtmseq.errors import BudgetExceededError, WindowExceededError
 from conftest import (
@@ -351,6 +354,55 @@ class TestKernelBruteForceDefinition:
             kernel_brute_force(spec, 3, 2)
 
 
+class TestKernelBruteForceCases:
+    """The (tail row, head) grouping at its edges, against the definition."""
+
+    @staticmethod
+    def definition_items(spec, e_max, horizon):
+        got = list(kernel_brute_force(spec, e_max, horizon).items())
+        assert got == list(brute_force_definition(spec, e_max, horizon).items())
+        return got
+
+    def test_horizon_one(self, rng):
+        # Each subsequence is its head alone: one group per head value.
+        for _ in range(6):
+            spec = random_spec(rng, L_max=6, k_max=5, y0_max=2, p_max=3)
+            e_max = 4 if spec.k < 4 else 3
+            got = self.definition_items(spec, e_max, 1)
+            heads = a_values(spec, np.arange(spec.k**e_max))
+            assert sorted(prefix for prefix, _ in got) == [(v,) for v in np.unique(heads).tolist()]
+
+    def test_e_max_zero(self, rng):
+        # The one subsequence (0, 0) is the sequence itself.
+        for _ in range(4):
+            spec = random_spec(rng, L_max=6, k_max=5, y0_max=2, p_max=3)
+            got = self.definition_items(spec, 0, 50)
+            assert got == [(tuple(a_values(spec, np.arange(50)).tolist()), [(0, 0)])]
+
+    def test_distinct_heads_large_modulus(self):
+        # kappa(s, y) = s * k**y * M mod 2**57 with M odd, so a(j) = j * M
+        # mod 2**57: every head below k**e_max is distinct, and the prefix
+        # sums need uint64.
+        L, k, e_max, M = 2**57, 3, 4, 2**56 + 12345
+        table = tuple(tuple(s * k**y * M % L for y in range(e_max)) + (L - 1,)
+                      for s in range(1, k))
+        spec = KappaSpec(L=L, k=k, preperiod=e_max, period=1, table=table)
+        assert a_values(spec, np.arange(k**e_max)).tolist() == [
+            j * M % L for j in range(k**e_max)]
+        got = self.definition_items(spec, e_max, 9)
+        assert len({prefix[0] for prefix, _ in got}) == k**e_max
+
+    def test_alternating_tail_rows_recur(self):
+        # kappa(1, y) alternates 0, 1, 0, 1, so tail row a(2**e * n) depends
+        # on e only through its parity: one group holds subsequences of
+        # levels e and e + 2.
+        spec = parse_spec(resources.files("gtmseq") / "specs" / "alternating.spec")
+        got = self.definition_items(spec, 6, 64)
+        levels = [{e for e, _ in group} for _, group in got]
+        assert any({e, e + 2} <= found for found in levels for e in range(5))
+        assert len(got) == len(kernel_explore(spec))
+
+
 # Each L sits where 2L - 2 needs a wider unsigned dtype than L - 1 (or
 # just below or above such an edge): the sums a(j) + a(k**e * n) are
 # reduced there by wrap-around.
@@ -459,16 +511,16 @@ class TestKernelBruteForceGrouping:
         return int(groups), peak_mb
 
     def test_peak_memory_k5(self):
-        # 5**5 * 4096 = 12.8M values, but the digit route computes only
-        # 5**5 + 6 * 4096 of them; the largest level's outer sum and its
-        # wrap-around difference take 26 MB in uint8.
+        # The subsequences hold 5**5 * 4096 = 12.8M values, but the digit
+        # route computes only 5**5 heads and 6 tail rows of 4096, and no
+        # level of subsequences is built: well under 1 MB in uint8.
         groups, peak_mb = self.peak_memory_k5(3)
         assert groups == 7
         assert peak_mb <= 100
 
     def test_peak_memory_k5_uint16_keys(self):
-        # L = 300 sums in uint16, which is also the key dtype, so the
-        # largest level takes 51 MB and is keyed without a narrowing copy.
+        # L = 300 keeps its values and tail-row keys in uint16, and its
+        # prefix sums too: the same arrays, twice as wide.
         groups, peak_mb = self.peak_memory_k5(300)
         assert groups == 21
         assert peak_mb <= 100
