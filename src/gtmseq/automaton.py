@@ -48,6 +48,9 @@ __all__ = [
     "kernel_brute_force",
 ]
 
+# Resident words per (e, j) member of a kernel_brute_force result (its docstring).
+_MEMBER_WORDS = 17
+
 
 class KernelState(NamedTuple):
     """Denotes the function n -> a_shift(n) + offset mod L."""
@@ -164,11 +167,18 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     call reads the digit positions of k**e_max * horizon - 1, the largest
     index of the subsequences, so a finite window fails exactly when that
     index has more digits than it.
+
+    The budget is charged the k**e_max * horizon values the subsequences
+    stand for plus ``_MEMBER_WORDS`` = 17 words for each of the (k**(e_max
+    + 1) - 1) / (k - 1) ``(e, j)`` members of the result.  A member's
+    tuple, list slot and int, with its share of the heads, peaked at
+    105-132 bytes of resident memory (ru_maxrss over 0.1-1.1M members,
+    k = 2..10, horizon 1), below 17 words of 8 bytes.
     """
     if e_max < 0 or horizon < 1:
         raise ValueError("need e_max >= 0 and horizon >= 1")
     k, L = spec.k, spec.L
-    check_budget(k**e_max * horizon)
+    check_budget(k**e_max * horizon + _MEMBER_WORDS * ((k ** (e_max + 1) - 1) // (k - 1)))
     top = k**e_max
     powers = k ** np.arange(e_max + 1, dtype=np.int64)
     tail_indices = np.multiply.outer(powers, np.arange(horizon, dtype=np.int64))

@@ -21,6 +21,12 @@ so the digit is taken as ``rem - quot * k**c`` and every reduction mod L
 as ``x - x // L * L`` (``_reduce_mod``).  Slabs of 2**14 indices bound
 its working memory beyond the input and output and keep it in cache.  It
 shares no code with ``generate_prefix_morphic``, the independent oracle.
+
+A spec's chunk tables are built once and kept on the spec: a call that
+needs more digit positions than earlier calls extends them, and every
+other call only reads them.  Indices lie below 2**63, so a spec holds at
+most 6 * max(k, 4096) int64 entries, 192 KiB for k <= 4096; for k > 4096
+a block is one digit position and each table has k entries.
 """
 
 from __future__ import annotations
@@ -246,12 +252,47 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
     return total % spec.L
 
 
+def _chunk_tables(spec: KappaSpec, digits: int) -> tuple[np.ndarray, ...]:
+    """The chunk tables that cover digit positions below ``digits``.
+
+    Built once per spec: the tables and the count of positions they
+    cover are kept on the spec as one ``(tables, positions)`` value, and
+    a call past that count goes on from where the last one stopped, in a
+    new list, and publishes the result with one assignment, so another
+    thread sees the old tables or the new ones, never a half-extended
+    list.  The arrays are read-only.  Every column below ``digits`` is
+    read here or was read by an earlier call, so a finite window fails
+    exactly when ``digits`` passes it, and a failed call keeps the old
+    value.  Returns the first ceil(digits / c) tables.
+    """
+    k = spec.k
+    width = 1
+    while k ** (width + 1) <= 4096:
+        width += 1
+    tables, positions = spec.__dict__.get("_chunk_tables", ((), 0))
+    if positions < digits:
+        grown = list(tables)
+        for y in range(positions, digits):
+            column = np.array((0,) + spec.column(y), dtype=np.int64)
+            if y % width:
+                # Entry d * old size + r: digit d at position y, entry r below.
+                grown[-1] = np.add.outer(column, grown[-1]).ravel()
+            else:
+                grown.append(column)
+        for table in grown[positions // width :]:
+            table.setflags(write=False)
+        tables = tuple(grown)
+        spec.__dict__["_chunk_tables"] = (tables, digits)
+    return tables[: -(-digits // width)]
+
+
 def a_values(spec: KappaSpec, indices) -> np.ndarray:
     """Vectorized a_of_n over an array of non-negative indices.
 
-    Chunk tables (module docstring) of k**c <= 4096 entries; they stop at
-    the largest index's digit count, so small indices build small tables.
-    A slab sums at most 63 entries below L <= 2**57 before its one
+    Chunk tables (module docstring) of k**c <= 4096 entries, kept on the
+    spec (``_chunk_tables``); a call reads the tables up to its largest
+    index's digit count, so small indices gather from few tables.  A
+    slab sums at most 63 entries below L <= 2**57 before its one
     reduction mod L, so the sum stays below 2**63.
     """
     idx = np.asarray(indices, dtype=np.int64)
@@ -259,19 +300,10 @@ def a_values(spec: KappaSpec, indices) -> np.ndarray:
     if idx.size and idx.min() < 0:
         raise ValueError("indices must be >= 0")
     k = spec.k
-    width = 1
-    while k ** (width + 1) <= 4096:
-        width += 1
-    # Every column is read, so a finite window fails, before any gather.
-    tables, top, y = [], int(idx.max(initial=0)), 0
+    top, digits = int(idx.max(initial=0)), 0
     while top:
-        column = np.array((0,) + spec.column(y), dtype=np.int64)
-        if y % width:
-            # Entry d * old size + r: digit d at position y, entry r below.
-            tables[-1] = np.add.outer(column, tables[-1]).ravel()
-        else:
-            tables.append(column)
-        top, y = top // k, y + 1
+        top, digits = top // k, digits + 1
+    tables = _chunk_tables(spec, digits)
     flat = idx.ravel()
     for lo in range(0, idx.size if tables else 0, _SLAB):
         acc, rem = out[lo : lo + _SLAB], flat[lo : lo + _SLAB]

@@ -19,11 +19,17 @@ preperiod + period (resp. window) columns.
 Spec files are UTF-8 whatever the locale.  ``parse_spec`` decodes the
 raw bytes once, skipping the pathlib and text-mode set-up that costs
 more than parsing a small spec; ``splitlines`` handles CR and CRLF.
+It reads the file on every call, but returns one ``KappaSpec`` object
+per text among the last 8 texts parsed, so the work cached on a spec
+(``normal_form``, the chunk tables of ``kappa.a_values``, at most
+6 * max(k, 4096) int64 entries) is done once for all the calls that
+read one file.  A file that fails to parse raises on every call.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Any
 
 from .errors import SpecParseError
@@ -87,9 +93,14 @@ def parse_spec_text(text: str) -> KappaSpec:
         raise SpecParseError(str(exc)) from exc
 
 
+# lru_cache keeps no exception, so a bad file raises on every call.
+_interned = lru_cache(maxsize=8)(parse_spec_text)
+
+
 def parse_spec(path) -> KappaSpec:
+    """The spec in the file at ``path``: one object per recent text (module docstring)."""
     with open(os.fspath(path), "rb", buffering=0) as file:  # str or PathLike, not an fd
-        return parse_spec_text(file.read().decode("utf-8"))
+        return _interned(file.read().decode("utf-8"))
 
 
 def spec_to_text(spec: KappaSpec) -> str:

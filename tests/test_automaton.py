@@ -295,6 +295,21 @@ class TestKernelBruteForce:
         with pytest.raises(BudgetExceededError):
             kernel_brute_force(tm, 10, 1024)
 
+    def test_budget_charges_members(self, tm, monkeypatch):
+        # At horizon 1, e_max = 3 stands for 8 values but holds 15 (e, j)
+        # members of 17 words each: 8 + 255 words.
+        from gtmseq.errors import BudgetExceededError
+
+        monkeypatch.setenv("GTMSEQ_BUDGET", "263")
+        assert sum(map(len, kernel_brute_force(tm, 3, 1).values())) == 15
+        monkeypatch.setenv("GTMSEQ_BUDGET", "262")
+        with pytest.raises(BudgetExceededError, match="^263 values exceed budget 262$"):
+            kernel_brute_force(tm, 3, 1)
+        monkeypatch.delenv("GTMSEQ_BUDGET")
+        # 4.2M values, but 8.4M members, near 0.9 GB resident.
+        with pytest.raises(BudgetExceededError):
+            kernel_brute_force(tm, 22, 1)
+
 
 def brute_force_definition(spec, e_max, horizon):
     """{prefix: [(e, j), ...]} built subsequence by subsequence from a_of_n."""

@@ -574,6 +574,16 @@ class TestParserReuse:
         assert self.call(capsys, *usage) == first_error
         assert (code, out) == self.call(capsys, "classify", TM, first=True)[:2]
 
+    def test_rewritten_spec_file_read_again(self, tmp_path, capsys):
+        # parse_spec keeps one spec per text, so a new text in the same
+        # file gives a new spec, and its tables are built for it.
+        path = digit_sum_spec(tmp_path, 5, 1)
+        assert run(capsys, "gen", path, "--count", "8", "--mode", "both")[:2] == (
+            0, "01121223 AGREE\n")
+        digit_sum_spec(tmp_path, 5, 2)
+        assert run(capsys, "gen", path, "--count", "8", "--mode", "both")[:2] == (
+            0, "02242441 AGREE\n")
+
 
 class TestGap:
     def test_verified_expansion(self, capsys):

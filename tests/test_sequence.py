@@ -1,5 +1,7 @@
 import re
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from gtmseq import (
     kernel_brute_force,
     periodic_series_value,
 )
-from gtmseq.kappa import _reduce_mod
+from gtmseq.kappa import _chunk_tables, _reduce_mod
 from conftest import (alternating_spec, constant_spec, generate_prefix_morphic_literal,
                       random_spec, zero_spec)
 
@@ -284,6 +286,107 @@ class TestChunkTables:
     def test_matrix_shape_kept(self, tm):
         idx = np.arange(12).reshape(3, 4)
         assert np.array_equal(a_values(tm, idx), per_digit_values(tm, idx))
+
+
+def digit_count(n, k):
+    return len(np.base_repr(n, k)) if n else 0
+
+
+@st.composite
+def call_sequences(draw):
+    """A spec of ``digit_route_cases``, periodic or finite-window, and one
+    to six index arrays, each with a drawn digit count of its largest index."""
+    spec, _ = draw(digit_route_cases(window=draw(st.booleans())))
+    most = digit_count(2**63 - 1, spec.k)
+    calls = []
+    for _ in range(draw(st.integers(1, 6))):
+        digits = draw(st.one_of(st.integers(0, min(most, (spec.window or 0) + 2)),
+                                st.integers(0, most)))
+        top = min(spec.k**digits - 1, 2**63 - 1)
+        seed = draw(st.integers(0, 2**32 - 1))
+        idx = np.random.default_rng(seed).integers(0, top, size=draw(st.integers(1, 40)),
+                                                   endpoint=True)
+        idx[-1] = top
+        calls.append(idx)
+    return spec, calls
+
+
+def values_or_error(spec, idx):
+    try:
+        return a_values(spec, idx).tolist()
+    except WindowExceededError:
+        return WindowExceededError
+
+
+class TestCachedTables:
+    """``a_values`` keeps its chunk tables on the spec and extends them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(call_sequences())
+    def test_call_sequence_matches_fresh_spec(self, case):
+        spec, calls = case
+        for idx in calls:
+            got = values_or_error(spec, idx)
+            assert got == values_or_error(replace(spec), idx)
+            past = spec.is_finite_window and digit_count(int(idx[-1]), spec.k) > spec.window
+            assert (got is WindowExceededError) == past
+            if not past:
+                assert got == [a_of_n(spec, int(n)) for n in idx]
+
+    @pytest.mark.parametrize("past_first", [True, False], ids=["past-first", "inside-first"])
+    def test_window_either_order(self, past_first):
+        spec = KappaSpec(L=5, k=3, preperiod=0, period=None,
+                         table=((1, 2, 3, 4), (4, 0, 2, 1)), window=4)
+        inside, past, small = np.arange(3**4), np.array([5, 3**4]), np.array([7, 2])
+        for idx in [past, inside, small] if past_first else [inside, past, small, past]:
+            if idx is past:
+                with pytest.raises(WindowExceededError, match="y=4 but window bound is 4"):
+                    a_values(spec, idx)
+            else:
+                assert a_values(spec, idx).tolist() == [a_of_n(spec, int(n)) for n in idx]
+
+    def test_tables_reused_and_read_only(self, tm):
+        a_values(tm, [2**40])
+        tables = _chunk_tables(tm, 41)
+        assert [t.size for t in tables] == [4096, 4096, 4096, 2**5]
+        # A call reads only the blocks its digit count needs.
+        small = _chunk_tables(tm, 3)
+        assert len(small) == 1 and small[0] is tables[0]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+        assert a_values(tm, [2**40 - 1, 7]).tolist() == [0, 1]
+
+    def test_threads_share_one_spec(self, rng):
+        # Eight threads extend and read one fresh spec's tables at once, each
+        # with ascending digit counts, with a thread switch every
+        # microsecond; a half-extended table list would give wrong values.
+        spec = random_spec(rng, L_max=7, k_max=3)
+        draw = np.random.default_rng(11)
+        tops = [min(spec.k**d - 1, 2**63 - 1) for d in range(digit_count(2**63 - 1, spec.k) + 1)]
+        calls = [np.append(draw.integers(0, top, size=15, endpoint=True), top) for top in tops]
+        want = [values_or_error(spec, idx) for idx in calls]
+
+        def work(shared, offset, got):
+            for i in range(offset, len(calls)):
+                got[i] = values_or_error(shared, calls[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared, results = replace(spec), [[None] * len(calls) for _ in range(8)]
+                threads = [threading.Thread(target=work, args=(shared, t, results[t]))
+                           for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for t, got in enumerate(results):
+                    assert got[t:] == want[t:]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEquallySpaced:

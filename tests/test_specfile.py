@@ -138,3 +138,31 @@ class TestReadFile:
         ]:
             assert main(["classify", path]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestInterning:
+    """``parse_spec`` gives one spec object per file text."""
+
+    def test_identical_text_identical_object(self, tmp_path):
+        first, second = tmp_path / "a.spec", tmp_path / "b.spec"
+        first.write_text(TM_TEXT)
+        second.write_text(TM_TEXT)
+        spec = parse_spec(first)
+        assert parse_spec(first) is spec and parse_spec(str(second)) is spec
+
+    def test_different_text_different_object(self, tmp_path):
+        path = tmp_path / "x.spec"
+        path.write_text(TM_TEXT)
+        spec = parse_spec(path)
+        path.write_text(TM_TEXT + "# a comment\n")
+        same_spec = parse_spec(path)
+        assert same_spec == spec and same_spec is not spec
+        path.write_text(TM_TEXT.replace("kappa =\n1", "kappa =\n0"))
+        assert parse_spec(path).table == ((0,),)
+
+    def test_malformed_file_raises_every_call(self, tmp_path):
+        path = tmp_path / "x.spec"
+        path.write_text(TM_TEXT.replace("k = 2", "k = two"))
+        for _ in range(3):
+            with pytest.raises(SpecParseError, match="k needs an integer, got 'two'"):
+                parse_spec(path)
