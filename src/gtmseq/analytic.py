@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import expand
+from .expansion import _join, expand
 from .kappa import KappaSpec, a_values, check_budget, spaced_indices
 from .periodicity import classify
 
@@ -39,13 +39,10 @@ class ConvergentList:
 
 
 def _horner_numerator(spec: KappaSpec, N: int, l: int, beta: int, count: int) -> int:
-    """sum_{n<count} a(N + n*l) * beta**(count-1-n), by Horner's rule."""
+    """sum_{n<count} a(N + n*l) * beta**(count-1-n), by ``expansion._join``."""
     indices = spaced_indices(N, l, count)
     check_budget(count * -(-beta.bit_length() // 64))  # count digits of ceil(bits/64) words
-    numerator = 0
-    for v in a_values(spec, indices).tolist():
-        numerator = numerator * beta + v
-    return numerator
+    return _join(a_values(spec, indices)[::-1].tolist(), beta, beta.bit_length())
 
 
 def eval_series(

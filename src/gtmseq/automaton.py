@@ -23,10 +23,7 @@ states as the k-kernel has elements.
 
 ``kernel_brute_force`` is an independent lower-bound oracle: it groups
 equal subsequences up to a horizon from digit-route values alone and
-never reads the (shift, offset) states.  Subsequence (e, j) is the tail
-row a(k**e * n) plus the head a(j) mod L, and its value at n = 0 is the
-head, so it is keyed by (tail row e, head a(j)); only the heads, the
-e_max + 1 tail rows and one prefix per group are materialized.
+never reads the (shift, offset) states.
 """
 
 from __future__ import annotations
@@ -48,8 +45,9 @@ __all__ = [
     "kernel_brute_force",
 ]
 
-# Resident words per (e, j) member of a kernel_brute_force result (its docstring).
+# Resident words per kernel_brute_force member and kernel_explore state (their docstrings).
 _MEMBER_WORDS = 17
+_STATE_WORDS = 40
 
 
 class KernelState(NamedTuple):
@@ -87,16 +85,16 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     closure stops, incomplete, when a row's new states would pass
     ``max_states`` or a state's column lies past a finite window.  It
     then drops that row with the states it added, so every state but the
-    root is the target of a recorded transition.  A closure that grows
-    past ``word_budget()`` states within ``max_states`` fails
-    ``check_budget``; a ``max_states`` below 1 is a ValueError.
+    root is the target of a recorded transition.  A ``max_states`` below
+    1 is a ValueError.
 
-    Cost: one column read per canonical shift and one dict lookup per
-    transition.  Each shift's move, the digit steps kappa(., shift) with
-    kappa(0, .) = 0, the next canonical shift and that shift's
-    {offset: state index} dict, is built on first use, so a child is the
-    int (offset + step) % L looked up in one dict, and a ``KernelState``
-    is built only for a new state.
+    Each state is charged ``_STATE_WORDS`` + k = 40 + k words; a closure
+    past ``word_budget()`` fails ``check_budget``.  Closures stopped by the
+    default budget or complete just below it peaked at 0.78-0.95 of those
+    words (VmHWM above the import, k = 2..50, 88k-190k states).
+
+    Cost: one column read per canonical shift, whose move is built on
+    first use, and one dict lookup per transition.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
@@ -107,7 +105,8 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     moves: dict[int, tuple[tuple[int, ...], int, dict[int, int]]] = {}
     transitions: list[tuple[int, ...]] = []
     complete = True
-    budget = word_budget()
+    state_words = _STATE_WORDS + spec.k
+    admitted = word_budget() // state_words
     for shift, offset in states:  # grows while iterated, so the order is breadth-first
         move = moves.get(shift)
         if move is None:
@@ -135,8 +134,8 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
             del states[finished:]
             complete = False
             break
-        if len(states) > budget:
-            check_budget(len(states))
+        if len(states) > admitted:
+            check_budget(len(states) * state_words)
         transitions.append(tuple(row))
     return KernelResult(
         states=tuple(states),
@@ -161,12 +160,10 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     are equal and their tail rows are equal: the group of (e, j) is keyed
     by (bytes of tail row e, head a(j)).  One digit-route call reads the
     k**e_max heads and the e_max + 1 tail rows, about k**e_max + (e_max +
-    1) * horizon values in place of k**e_max * horizon; the heads are
-    sorted into classes of equal value, level e takes the js below k**e of
-    each class, and one prefix row is built per group at the end.  The
-    call reads the digit positions of k**e_max * horizon - 1, the largest
-    index of the subsequences, so a finite window fails exactly when that
-    index has more digits than it.
+    1) * horizon values in place of k**e_max * horizon, and the digit
+    positions of k**e_max * horizon - 1, the largest index of the
+    subsequences, so a finite window fails exactly when that index has
+    more digits than it.
 
     The budget is charged the k**e_max * horizon values the subsequences
     stand for plus ``_MEMBER_WORDS`` = 17 words for each of the (k**(e_max

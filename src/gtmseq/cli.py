@@ -14,7 +14,6 @@ library error carries its exit code as ``exit_code``.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import os
@@ -27,7 +26,7 @@ from . import __version__
 from .analytic import eval_cf, eval_series
 from .automaton import kernel_explore
 from .errors import GtmseqError
-from .expansion import expand, gap_multiple
+from .expansion import _decimal_str, expand, gap_multiple
 from .kappa import a_values, generate_prefix_morphic, spaced_indices, word_budget
 from .periodicity import classify
 from .specfile import parse_spec
@@ -57,42 +56,6 @@ def _word_str(values) -> str:
     if word.max(initial=0) < 10:
         return word.astype(np.uint8).tobytes().translate(_DIGITS).decode()
     return " ".join(map(str, word.tolist()))
-
-
-_SPLIT_BITS = 4096
-
-
-def _decimal_str(n: int) -> str:
-    """``str(n)``, in subquadratic time for big n.
-
-    Python 3.11 converts an int to decimal in time quadratic in its
-    length.  Past 4,096 bits n is split by bits, recursively, and rebuilt
-    as an exact ``decimal.Decimal``, whose products are subquadratic
-    (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7).
-    """
-    if n.bit_length() < _SPLIT_BITS:
-        return str(n)
-    powers = {}  # e -> 2**e as a Decimal, shared by the halves of one level
-
-    def power(e):
-        if e not in powers:
-            if e < _SPLIT_BITS:
-                powers[e] = decimal.Decimal(1 << e)
-            else:
-                powers[e] = power(e // 2) * power(e - e // 2)
-        return powers[e]
-
-    def convert(x, bits):
-        if bits < _SPLIT_BITS:
-            return decimal.Decimal(x)
-        half = bits // 2
-        high = x >> half
-        return convert(high, bits - half) * power(half) + convert(x - (high << half), half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        return str(convert(n, n.bit_length()))
 
 
 def _gen(spec, args):

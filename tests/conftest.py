@@ -9,6 +9,7 @@ import pytest
 
 import gtmseq
 from gtmseq import KappaSpec, KernelResult, KernelState, PeriodicityVerdict
+from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import WindowExceededError
 from gtmseq.expansion import expand
 from gtmseq.kappa import (check_budget, equally_spaced, generate_prefix_morphic,
@@ -140,16 +141,19 @@ def random_spec(rng: random.Random, L_max=6, k_max=5, y0_max=3, p_max=4):
     return KappaSpec(L=L, k=k, preperiod=y0, period=p, table=table)
 
 
-def periodic_constructed_spec(rng: random.Random, L_max=6, k_max=5, A_max=2):
+def periodic_constructed_spec(rng: random.Random, L_max=6, k_max=5, A_max=2, min_period=1):
     """Random spec built to satisfy the periodicity criterion at shift A.
 
     Columns below A are arbitrary; from A on they follow
     kappa(s, A + y) = c * s * k**y mod L, laid out over the natural
-    preperiod/period of the power residues of k mod L.
+    preperiod/period of the power residues of k mod L.  A is at least the
+    least shift whose period L * k**A reaches ``min_period``.
     """
     L = rng.randint(2, L_max)
     k = rng.randint(2, k_max)
     A = rng.randint(0, A_max)
+    while L * k**A < min_period:
+        A += 1
     c = rng.randrange(L)
     pre, cyc = power_residue_cycle(k, L)
     y0 = A + pre
@@ -183,18 +187,32 @@ def generate_prefix_morphic_literal(spec, m):
     return word
 
 
+def horner_literal(values, beta):
+    """sum_n values[n] * beta**(len(values) - 1 - n), one Horner step per term.
+
+    A literal oracle for ``analytic._horner_numerator``, which joins runs
+    of terms by halves.
+    """
+    numerator = 0
+    for v in values:
+        numerator = numerator * beta + v
+    return numerator
+
+
 def kernel_explore_literal(spec, max_states=4096):
     """The kernel closure as first written: a (shift, offset) dict keyed by
     ``KernelState``, and one ``spec.column`` read per state.
 
     A literal oracle for ``kernel_explore``, which must return an equal
-    ``KernelResult`` or raise the same error.
+    ``KernelResult`` or raise the same error.  Each state costs the same
+    ``_STATE_WORDS`` + k words of the budget.
     """
     states = [KernelState(shift=spec.canonical_column(0), offset=0)]
     index = {states[0]: 0}
     transitions = []
     complete = True
     budget = word_budget()
+    state_words = _STATE_WORDS + spec.k
     for state in states:  # grows while iterated, so the order is breadth-first
         try:
             steps = (0,) + spec.column(state.shift)
@@ -217,8 +235,8 @@ def kernel_explore_literal(spec, max_states=4096):
             del states[finished:]
             complete = False
             break
-        if len(states) > budget:
-            check_budget(len(states))
+        if len(states) * state_words > budget:
+            check_budget(len(states) * state_words)
         transitions.append(tuple(row))
     return KernelResult(
         states=tuple(states),

@@ -1,9 +1,11 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtmseq import (
     BudgetExceededError,
@@ -15,9 +17,12 @@ from gtmseq import (
     eval_series,
     generate_prefix_morphic,
     periodic_series_value,
+    spaced_indices,
 )
+from gtmseq.analytic import _horner_numerator
 from conftest import (
     constant_spec,
+    horner_literal,
     literal_product,
     periodic_constructed_spec,
     random_spec,
@@ -133,9 +138,7 @@ class TestEvalSeries:
             lo, hi = eval_series(spec, 1, 2, spec.L, 8)
             assert lo <= value <= hi
             P = spec.L * spec.k ** (shift + 1)
-            numerator = 0
-            for n in range(P):
-                numerator = numerator * spec.L + a_of_n(spec, 1 + 2 * n)
+            numerator = horner_literal([a_of_n(spec, 1 + 2 * n) for n in range(P)], spec.L)
             assert value == Fraction(numerator, spec.L**P - 1)
 
     def test_big_base_numerator_budgeted(self, monkeypatch):
@@ -153,6 +156,60 @@ class TestEvalSeries:
     def test_beta_below_L_rejected(self, series, spec, extra):
         with pytest.raises(ValueError, match="beta must be >= L = 4, got 3"):
             series(spec, 0, 1, 3, *extra)
+
+
+# The bases of the join property: both ends of the small ones, a decimal
+# base, one of a few words and one wider than a Horner run.
+BASES = ["L", "L+1", 10, 2**70, 2**4000]
+
+
+def draw_base(choice, L):
+    return {"L": L, "L+1": L + 1}.get(choice, choice)
+
+
+def run_width(beta):
+    """Terms per Horner run: the digits of beta that stay below 4,096 bits."""
+    return max(1, 4096 // beta.bit_length())
+
+
+class TestHornerNumerator:
+    """``_horner_numerator`` joins Horner runs by halves; the literal loop is the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(BASES),
+           st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 0), (3, 0), (4, 1), (7, -1)]),
+           st.integers(0, 50), st.integers(1, 9))
+    def test_matches_literal_loop(self, rng, base, runs, N, l):
+        # count = width * runs + extra: one run's width - 1, width and
+        # width + 1, and a few multiples, odd ones leaving a top run over.
+        spec = random_spec(rng)
+        beta = draw_base(base, spec.L)
+        count = max(0, run_width(beta) * runs[0] + runs[1])
+        values = a_values(spec, spaced_indices(N, l, count)).tolist()
+        assert _horner_numerator(spec, N, l, beta, count) == horner_literal(values, beta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(BASES),
+           st.integers(0, 50), st.integers(1, 9))
+    def test_periodic_value_matches_literal_loop(self, rng, base, N, l):
+        # The constructed period L * k**A is longer than one run (L = 2 has
+        # the widest), so the closed form's numerator joins two runs or more.
+        min_period = run_width(draw_base(base, 2)) + 1
+        spec, _ = periodic_constructed_spec(rng, A_max=1, min_period=min_period)
+        beta = draw_base(base, spec.L)
+        P = classify(spec).period
+        values = a_values(spec, spaced_indices(N, l, P)).tolist()
+        exact = Fraction(horner_literal(values, beta), beta**P - 1)
+        assert periodic_series_value(spec, N, l, beta) == exact
+
+    def test_long_numerator_is_fast(self, tm):
+        # 320,002 terms in base 2: a Horner loop took 4.6-5.8 s of CPU on a
+        # shared 2-vCPU host, the join under 0.1 s.  int(bits, 2) is the oracle.
+        started = time.process_time()
+        numerator = _horner_numerator(tm, 0, 1, 2, 320_002)
+        assert time.process_time() - started < 1.0
+        bits = "".join(map(str, a_values(tm, spaced_indices(0, 1, 320_002)).tolist()))
+        assert numerator == int(bits, 2)
 
 
 class TestEvalCf:

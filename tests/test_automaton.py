@@ -13,6 +13,7 @@ from gtmseq import (
     kernel_explore,
     parse_spec,
 )
+from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import BudgetExceededError, WindowExceededError
 from conftest import (
     alternating_spec,
@@ -119,12 +120,34 @@ class TestKernelExplore:
             kernel_explore(tm, max_states)
 
     def test_budget_bounds_states_exactly(self, tm, monkeypatch):
-        # the Thue-Morse closure has 2 states: a budget of 2 admits it, 1 does not
-        monkeypatch.setenv("GTMSEQ_BUDGET", "2")
+        # the Thue-Morse closure has 2 states of 40 + k = 42 words: a budget
+        # of 84 admits it, 83 does not
+        monkeypatch.setenv("GTMSEQ_BUDGET", "84")
         assert len(kernel_explore(tm)) == 2
-        monkeypatch.setenv("GTMSEQ_BUDGET", "1")
-        with pytest.raises(BudgetExceededError, match="2 values exceed budget 1"):
+        monkeypatch.setenv("GTMSEQ_BUDGET", "83")
+        with pytest.raises(BudgetExceededError, match="84 values exceed budget 83"):
             kernel_explore(tm)
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_peak_memory_within_budget(self, k):
+        # With L = 2**57 and one letter c for every digit, each row adds the
+        # one new state offset + c, so only the budget stops the closure:
+        # its states and their rows of k children fit in the charged words.
+        budget = 4_000_000
+        code = (
+            "from gtmseq import KappaSpec, kernel_explore\n"
+            "from gtmseq.errors import BudgetExceededError\n"
+            f"spec = KappaSpec(L=2**57, k={k}, preperiod=0, period=1,\n"
+            f"                 table=((2**56 + 12345,),) * {k - 1})\n"
+            "try:\n"
+            "    kernel_explore(spec, 2**62)\n"
+            "except BudgetExceededError:\n"
+            "    print('refused')\n"
+        )
+        _, import_mb = run_child("import gtmseq\n")
+        (outcome,), peak_mb = run_child(code, GTMSEQ_BUDGET=str(budget))
+        assert outcome == "refused"
+        assert peak_mb - import_mb <= budget * 8 / 2**20
 
     def test_max_states_drops_unfinished_row(self):
         spec = KappaSpec(L=3, k=3, preperiod=0, period=1, table=((1,), (2,)))
@@ -183,13 +206,13 @@ class TestKernelExploreLiteral:
     @settings(max_examples=200, deadline=None)
     @given(closure_cases(), st.sampled_from([None, -1, 0, 1]))
     def test_matches_literal_closure(self, case, budget_delta):
-        # budget_delta puts GTMSEQ_BUDGET just below, at or just above the
-        # state count; None keeps the default budget.
+        # budget_delta puts GTMSEQ_BUDGET one word below, at or one word
+        # above the states' charge; None keeps the default budget.
         spec, max_states = case
         with pytest.MonkeyPatch.context() as mp:
             if budget_delta is not None:
                 count = len(kernel_explore_literal(spec, max_states).states)
-                mp.setenv("GTMSEQ_BUDGET", str(count + budget_delta))
+                mp.setenv("GTMSEQ_BUDGET", str(count * (_STATE_WORDS + spec.k) + budget_delta))
             want = closure_outcome(kernel_explore_literal, spec, max_states)
             got = closure_outcome(kernel_explore, spec, max_states)
         assert got == want

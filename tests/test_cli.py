@@ -31,7 +31,8 @@ from gtmseq import (
 )
 from gtmseq.analytic import eval_series
 from gtmseq.cli import main
-from gtmseq.expansion import expand
+from gtmseq.automaton import _STATE_WORDS
+from gtmseq.expansion import _decimal_str, expand
 from gtmseq.specfile import parse_spec
 from conftest import gen_line_literal, tail_rounding_spec
 
@@ -288,23 +289,36 @@ class TestWordStr:
 
 
 class TestDecimalStr:
+    """``expansion._decimal_str``, the printer of the long ints of ``eval`` and ``gap``."""
+
     @pytest.mark.parametrize("bits", [4094, 4095, 4096, 4097, 8191, 8192, 8193])
     def test_around_cutoff(self, bits):
         for n in (2**bits - 1, 2**bits, 2**bits + 1, 2**bits // 3):
-            assert cli._decimal_str(n) == str(n)
+            assert _decimal_str(n) == str(n)
+            assert _decimal_str(-n) == str(-n)
+
+    @pytest.mark.parametrize("limbs", [1, 2, 3])
+    def test_limb_counts(self, rng, limbs):
+        # Past the cutoff n is cut into ceil(bits / 4096) limbs of 4,096 bits.
+        lo, hi = max(4096, 4096 * limbs - 4095), 4096 * limbs
+        for bits in (lo, (lo + hi) // 2, hi):
+            for n in (2**bits - 1, 2 ** (bits - 1), rng.getrandbits(bits) | 2 ** (bits - 1)):
+                assert -(-n.bit_length() // 4096) == limbs
+                assert _decimal_str(n) == str(n)
+                assert _decimal_str(-n) == str(-n)
 
     @pytest.mark.parametrize("j", [1, 1232, 1233, 1234, 2466, 4932, 9864, 12041])
     def test_powers_of_ten(self, j):
         # 10**1233 has 4,096 bits; 10**12041, about 40,000.
         with whole_ints():
             for n in (10**j - 1, 10**j, 10**j + 1):
-                assert cli._decimal_str(n) == str(n)
+                assert _decimal_str(n) == str(n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 40_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
     def test_matches_str(self, n):
         with whole_ints():
-            assert cli._decimal_str(n) == str(n)
+            assert _decimal_str(n) == str(n)
 
     def test_gap_witness_prints_fast(self):
         # For l = 2 and k = 5, gap_multiple returns x = D*D*2, where
@@ -313,7 +327,7 @@ class TestDecimalStr:
         assert gap_multiple(2, 5, 10).x == (5**11 + 1)**2 // 2
         x = (5**400_001 + 1)**2 // 2
         started = time.process_time()
-        text = cli._decimal_str(x)
+        text = _decimal_str(x)
         assert time.process_time() - started < 1.0
         assert len(text) == 559_178
         assert text[-30:] == str(x % 10**30).rjust(30, "0")
@@ -446,7 +460,10 @@ class TestKernel:
         assert code == 5
         assert out == ""
         assert "budget" in err
-        code, out, _ = run(capsys, "kernel", str(spec), "--max-states", "999")
+        # 1,000 words admit 23 states of 40 + k = 43 words: a cap of 23
+        # stops the closure first.
+        assert 1000 // (_STATE_WORDS + 3) == 23
+        code, out, _ = run(capsys, "kernel", str(spec), "--max-states", "23")
         assert code == 0
         assert json.loads(out)["result"]["complete"] is False
 
