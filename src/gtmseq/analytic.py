@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expansion import _join, expand
-from .kappa import KappaSpec, a_values, check_budget, spaced_indices
+from .expansion import _join
+from .kappa import KappaSpec, _digit_words, _numeral_length, a_values, check_budget, spaced_indices
 from .periodicity import classify
 
 __all__ = [
@@ -41,7 +41,7 @@ class ConvergentList:
 def _horner_numerator(spec: KappaSpec, N: int, l: int, beta: int, count: int) -> int:
     """sum_{n<count} a(N + n*l) * beta**(count-1-n), by ``expansion._join``."""
     indices = spaced_indices(N, l, count)
-    check_budget(count * -(-beta.bit_length() // 64))  # count digits of ceil(bits/64) words
+    check_budget(count * _digit_words(beta))
     return _join(a_values(spec, indices)[::-1].tolist(), beta, beta.bit_length())
 
 
@@ -59,7 +59,7 @@ def eval_series(
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     # beta**c >= 10 for c, the base-beta length of 9, so beta**-T < 10**-digits.
-    T = digits * expand(9, beta).length + 2
+    T = digits * _numeral_length(9, beta) + 2
     num, den = _horner_numerator(spec, N, l, beta, T), beta**T
     return Fraction(num, den), Fraction(num + 1, den)
 

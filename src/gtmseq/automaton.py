@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WindowExceededError
-from .kappa import KappaSpec, a_values, check_budget, word_budget
+from .kappa import KappaSpec, _letter_sum, a_values, check_budget, word_budget
 
 __all__ = [
     "KernelState",
@@ -92,9 +92,6 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
     past ``word_budget()`` fails ``check_budget``.  Closures stopped by the
     default budget or complete just below it peaked at 0.78-0.95 of those
     words (VmHWM above the import, k = 2..50, 88k-190k states).
-
-    Cost: one column read per canonical shift, whose move is built on
-    first use, and one dict lookup per transition.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
@@ -184,7 +181,6 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     # keeps each one, gives equal rows equal bytes and sorts by radix.
     values = a_values(spec, indices).astype(np.min_scalar_type(L - 1))
     heads, tails = values[:top], values[top:].reshape(e_max + 1, horizon)
-    # Each tail row is named by the first level that has it.
     seen: dict[bytes, int] = {}
     tail_ids = [seen.setdefault(row.tobytes(), e) for e, row in enumerate(tails)]
     # Head classes: the js of one head value, ascending (the sort is
@@ -204,12 +200,6 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
         for c in range(bisect_left(first_js, limit)):
             cls = classes[c]
             members.setdefault((tail, c), []).extend(zip(repeat(e, bisect_left(cls, limit)), cls))
-    # One prefix per group.  Sums lie in [0, 2L - 2]; in an unsigned dtype
-    # holding 2L - 2, x - L wraps above x when x < L, so min(x, x - L) is
-    # x mod L.
-    wide = np.min_scalar_type(2 * L - 2)
     keys = np.array(list(members))
-    prefixes = tails[keys[:, 0]].astype(wide)
-    prefixes += class_heads[keys[:, 1], None]
-    np.minimum(prefixes, prefixes - L, out=prefixes)
+    prefixes = _letter_sum(tails[keys[:, 0]], class_heads[keys[:, 1], None], L)
     return {tuple(prefix): group for prefix, group in zip(prefixes.tolist(), members.values())}

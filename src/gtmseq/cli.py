@@ -2,13 +2,11 @@
 
 Subcommands wrap the library modules one-to-one, and each one's
 ``(spec, args) -> result`` function here writes its record, so the
-report schema lives in this module.  ``main`` is the one report path:
-it parses the spec file (``gap`` has none), calls that function and
-prints a deterministic JSON report on stdout (``gen`` without ``--json``
-prints its word line), whose ``parameters`` are the parsed arguments;
-wall time goes to stderr.  Exact answers print whole.  The exit codes
-are listed once, in ``_EPILOG``, which ``gtmseq --help`` prints; each
-library error carries its exit code as ``exit_code``.
+report schema lives in this module.  ``main`` is the one report path: a
+deterministic JSON report on stdout (``gen`` without ``--json`` prints
+its word line), wall time on stderr.  Exact answers print whole.  The
+exit codes are listed once, in ``_EPILOG``; each library error carries
+its exit code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -24,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from .analytic import eval_cf, eval_series
-from .automaton import kernel_explore
+from .automaton import _STATE_WORDS, kernel_explore
 from .errors import GtmseqError
-from .expansion import _decimal_str, expand, gap_multiple
-from .kappa import a_values, generate_prefix_morphic, spaced_indices, word_budget
+from .expansion import _decimal_str, gap_multiple
+from .kappa import (_numeral_length, a_values, check_budget, generate_prefix_morphic,
+                    spaced_indices, word_budget)
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
@@ -64,7 +63,7 @@ def _gen(spec, args):
     if args.mode != "morphic":
         words.append(a_values(spec, indices))
     if args.mode != "digit":
-        m = expand(int(indices.max(initial=0)), spec.k).length
+        m = _numeral_length(int(indices.max(initial=0)), spec.k)
         words.append(generate_prefix_morphic(spec, m)[indices])
     agree = np.array_equal(*words) if len(words) == 2 else None
     if args.json:
@@ -90,6 +89,10 @@ def _classify(spec, args):
 
 def _kernel(spec, args):
     result = kernel_explore(spec, args.max_states)
+    # Beside the closure's _STATE_WORDS + k words, a state's dict here and its
+    # share of the JSON text, as built and as printed, took 36-40 words plus
+    # 1.5-1.75 per child (VmHWM, k = 2..1000, offsets up to 2**57): charge 48 + 2k.
+    check_budget(len(result) * (_STATE_WORDS + 48 + 3 * spec.k))
     return {
         "states": [{"shift": s.shift, "offset": s.offset} for s in result.states],
         "transitions": result.transitions,

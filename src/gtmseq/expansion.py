@@ -17,7 +17,7 @@ import decimal
 from dataclasses import dataclass
 from math import gcd
 
-from .kappa import check_budget
+from .kappa import _digit_words, check_budget
 
 __all__ = [
     "DigitExpansion",
@@ -55,8 +55,7 @@ class DigitExpansion:
 class GapMultipleResult:
     """Witness multiple x*l with leading digit 1 and a gap above it.
 
-    ``gap`` is the distance between the two lowest occupied positions;
-    the expansion always has a second term (see ``gap_multiple``).
+    ``gap`` is the distance between the two lowest occupied positions.
     """
 
     x: int
@@ -103,8 +102,7 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
         raise ValueError(f"k must be >= 2, got {k}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    # D*D < k**(2*(t+1)): 2*(t+1) base-k digits of ceil(bits(k) / 64) 64-bit words
-    check_budget(2 * (t + 1) * -(-k.bit_length() // 64))
+    check_budget(2 * (t + 1) * _digit_words(k))  # D*D < k**(2*(t+1)): 2*(t+1) digits
 
     # Strip from G every prime it shares with k; H = l // G is built from k's primes.
     G = l

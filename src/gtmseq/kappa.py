@@ -22,11 +22,10 @@ as ``x - x // L * L`` (``_reduce_mod``).  Slabs of 2**14 indices bound
 its working memory beyond the input and output and keep it in cache.  It
 shares no code with ``generate_prefix_morphic``, the independent oracle.
 
-A spec's chunk tables are built once and kept on the spec: a call that
-needs more digit positions than earlier calls extends them, and every
-other call only reads them.  Indices lie below 2**63, so a spec holds at
-most 6 * max(k, 4096) int64 entries, 192 KiB for k <= 4096; for k > 4096
-a block is one digit position and each table has k entries.
+A spec keeps its chunk tables (``_chunk_tables``).  Indices lie below
+2**63, so a spec holds at most 6 * max(k, 4096) int64 entries, 192 KiB
+for k <= 4096; for k > 4096 a block is one digit position and each table
+has k entries.
 """
 
 from __future__ import annotations
@@ -237,6 +236,34 @@ def _reduce_mod(x: np.ndarray, m: int) -> np.ndarray:
     return x
 
 
+def _letter_sum(x: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
+    """(x + y) mod L for arrays of letters in [0, L), broadcast together, in
+    the narrowest unsigned dtype that holds 2L - 2: there x - L wraps above
+    x when x < L, so min(x, x - L) is x mod L, without a per-element ``%``.
+    """
+    dtype = np.min_scalar_type(2 * L - 2)
+    total = np.add(x.astype(dtype, copy=False), y.astype(dtype, copy=False))
+    np.minimum(total, total - dtype.type(L), out=total)
+    return total
+
+
+def _numeral_length(n: int, k: int) -> int:
+    """Least m with k**m > n: the base-k digit count of n, 0 for n = 0."""
+    if k < 2:
+        raise ValueError(f"base k must be >= 2, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    m = 0
+    while n:
+        n, m = n // k, m + 1
+    return m
+
+
+def _digit_words(base: int) -> int:
+    """The 64-bit words one base-``base`` digit costs: ceil(bits / 64)."""
+    return -(-base.bit_length() // 64)
+
+
 def a_of_n(spec: KappaSpec, n: int) -> int:
     """Digit-counting value: sum of kappa over the expansion terms of n, mod L."""
     if n < 0:
@@ -255,20 +282,15 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
 def _chunk_tables(spec: KappaSpec, digits: int) -> tuple[np.ndarray, ...]:
     """The chunk tables that cover digit positions below ``digits``.
 
-    Built once per spec: the tables and the count of positions they
-    cover are kept on the spec as one ``(tables, positions)`` value, and
-    a call past that count goes on from where the last one stopped, in a
-    new list, and publishes the result with one assignment, so another
-    thread sees the old tables or the new ones, never a half-extended
-    list.  The arrays are read-only.  Every column below ``digits`` is
-    read here or was read by an earlier call, so a finite window fails
-    exactly when ``digits`` passes it, and a failed call keeps the old
-    value.  Returns the first ceil(digits / c) tables.
+    Built once per spec: a call past the positions the kept tables cover
+    goes on from where the last one stopped, in a new list, and publishes
+    it with the count in one assignment, so another thread sees the old
+    tables or the new ones, never a half-extended list.  Every column
+    below ``digits`` is read here or was read by an earlier call, so a
+    finite window fails exactly when ``digits`` passes it, and a failed
+    call keeps the old value.  Returns the first ceil(digits / c) tables.
     """
-    k = spec.k
-    width = 1
-    while k ** (width + 1) <= 4096:
-        width += 1
+    width = max(1, _numeral_length(4096, spec.k) - 1)
     tables, positions = spec.__dict__.get("_chunk_tables", ((), 0))
     if positions < digits:
         grown = list(tables)
@@ -289,21 +311,15 @@ def _chunk_tables(spec: KappaSpec, digits: int) -> tuple[np.ndarray, ...]:
 def a_values(spec: KappaSpec, indices) -> np.ndarray:
     """Vectorized a_of_n over an array of non-negative indices.
 
-    Chunk tables (module docstring) of k**c <= 4096 entries, kept on the
-    spec (``_chunk_tables``); a call reads the tables up to its largest
-    index's digit count, so small indices gather from few tables.  A
-    slab sums at most 63 entries below L <= 2**57 before its one
-    reduction mod L, so the sum stays below 2**63.
+    Reads the chunk tables (module docstring) that its largest index's
+    digits need.  A slab sums at most 63 entries below L <= 2**57 before
+    its one reduction mod L, so the sum stays below 2**63.
     """
     idx = np.asarray(indices, dtype=np.int64)
     out = np.zeros(idx.size, dtype=np.int64)
     if idx.size and idx.min() < 0:
         raise ValueError("indices must be >= 0")
-    k = spec.k
-    top, digits = int(idx.max(initial=0)), 0
-    while top:
-        top, digits = top // k, digits + 1
-    tables = _chunk_tables(spec, digits)
+    tables = _chunk_tables(spec, _numeral_length(int(idx.max(initial=0)), spec.k))
     flat = idx.ravel()
     for lo in range(0, idx.size if tables else 0, _SLAB):
         acc, rem = out[lo : lo + _SLAB], flat[lo : lo + _SLAB]
@@ -323,22 +339,15 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
     w + kappa(s, y) mod L, s = 0..k-1 with kappa(0, y) = 0.  The one
     substitution kernel; the word lists the root-of-unity exponents of the
     coefficients of prod_{y<m} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)).
-
-    The word is built in the narrowest unsigned dtype that holds a sum
-    2L - 2 of two letters.  There x - L wraps above x when x < L, so
-    min(x, x - L) is x mod L, without numpy's per-element remainder.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m:
         spec.column(m - 1)  # a finite window fails here, before the budget
     check_budget(spec.k**m)
-    dtype = np.min_scalar_type(2 * spec.L - 2)
-    L = dtype.type(spec.L)
-    word = np.zeros(1, dtype=dtype)
+    word = np.zeros(1, dtype=np.int64)
     for y in range(m):
-        word = np.add.outer(np.array((0,) + spec.column(y), dtype=dtype), word).ravel()
-        np.minimum(word, word - L, out=word)
+        word = _letter_sum(np.array((0,) + spec.column(y))[:, None], word, spec.L).ravel()
     return word.astype(np.int64)
 
 

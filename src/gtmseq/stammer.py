@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from .errors import MTooSmallError, PeriodicSpecError
-from .expansion import expand
-from .kappa import KappaSpec, SequenceWindow, a_values, spaced_indices
+from .kappa import KappaSpec, SequenceWindow, _numeral_length, a_values, spaced_indices
 from .periodicity import classify
 
 __all__ = [
@@ -68,7 +67,7 @@ class StammerWitness:
 
 def min_legal_m(N: int, l: int, k: int) -> int:
     """Smallest admissible construction index: M+1, M the least with k**M > 2(N+l)."""
-    return expand(2 * (N + l), k).length + 1
+    return _numeral_length(2 * (N + l), k) + 1
 
 
 def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:

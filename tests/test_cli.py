@@ -34,7 +34,7 @@ from gtmseq.cli import main
 from gtmseq.automaton import _STATE_WORDS
 from gtmseq.expansion import _decimal_str, expand
 from gtmseq.specfile import parse_spec
-from conftest import gen_line_literal, tail_rounding_spec
+from conftest import gen_line_literal, run_child, tail_rounding_spec
 
 
 def spec_path(name):
@@ -460,12 +460,42 @@ class TestKernel:
         assert code == 5
         assert out == ""
         assert "budget" in err
-        # 1,000 words admit 23 states of 40 + k = 43 words: a cap of 23
-        # stops the closure first.
-        assert 1000 // (_STATE_WORDS + 3) == 23
-        code, out, _ = run(capsys, "kernel", str(spec), "--max-states", "23")
+        # 1,000 words admit 10 states of 40 + k words of closure and 48 + 2k
+        # of record, 97 words at k = 3: a cap of 10 stops the closure first.
+        assert 1000 // (_STATE_WORDS + 48 + 3 * 3) == 10
+        code, out, _ = run(capsys, "kernel", str(spec), "--max-states", "10")
         assert code == 0
         assert json.loads(out)["result"]["complete"] is False
+        # the closure alone admits 23 states, but their record does not fit
+        assert 1000 // (_STATE_WORDS + 3) == 23
+        code, out, err = run(capsys, "kernel", str(spec), "--max-states", "12")
+        assert (code, out) == (5, "")
+        assert "error: 1164 values exceed budget 1000" in err  # 12 states of 97 words
+
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_peak_memory_within_budget(self, tmp_path, k):
+        # With L = 2**57 and one letter c for every digit, each row adds the
+        # one new state offset + c, so max_states sets the closure's size:
+        # at the most states the budget admits, the closure, the record and
+        # its printed text fit in the charged words.
+        budget = 4_000_000
+        states = budget // (_STATE_WORDS + 48 + 3 * k)
+        spec = tmp_path / "wide.spec"
+        spec.write_text(f"L = {2**57}\nk = {k}\npreperiod = 0\nperiod = 1\nkappa =\n"
+                        + f"{2**56 + 12345}\n" * (k - 1))
+        code = (
+            "import os, sys\n"
+            "from gtmseq.cli import main\n"
+            "real, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+            f"codes = [main(['kernel', {str(spec)!r}, '--max-states', str(n)])\n"
+            f"         for n in ({states}, {states + 1})]\n"
+            "sys.stdout = real\n"
+            "print(*codes)\n"
+        )
+        _, import_mb = run_child("import gtmseq.cli\n")
+        codes, peak_mb = run_child(code, GTMSEQ_BUDGET=str(budget))
+        assert codes == ["0", "5"]
+        assert peak_mb - import_mb <= budget * 8 / 2**20
 
 
 class TestEval:

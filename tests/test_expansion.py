@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gtmseq.expansion import expand, gap_multiple
+from gtmseq.kappa import _digit_words, _numeral_length
 
 
 def per_digit_terms(n, k):
@@ -59,17 +60,22 @@ class TestExpand:
     def test_matches_per_digit_loop(self, n, k):
         exp = expand(n, k)
         assert exp.terms == per_digit_terms(n, k)
-        assert exp.length == numeral_length(n, k)
+        assert exp.length == _numeral_length(n, k) == numeral_length(n, k)
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 10, 997, 10**6, 2**61 - 1])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 997, 4096, 4097, 10**6, 2**61 - 1, 2**64 + 13])
     def test_powers_of_k_and_neighbours(self, k):
         # Every split level boundary: k**e has e + 1 digits, k**e - 1 has e
-        # (n = 0 has length 0).
+        # (n = 0 has length 0); e reaches past 2**63 for every k.
         for e in range(70):
             for n in (k**e - 1, k**e, k**e + 1):
                 exp = expand(n, k)
                 assert exp.terms == per_digit_terms(n, k), (n, k)
-                assert exp.length == numeral_length(n, k), (n, k)
+                assert exp.length == _numeral_length(n, k) == numeral_length(n, k), (n, k)
+
+    def test_digit_words(self):
+        # one 64-bit word per started 64 bits of the base
+        for bits, words in [(1, 1), (64, 1), (65, 2), (4001, 63)]:
+            assert _digit_words(2 ** (bits - 1)) == _digit_words(2**bits - 1) == words
 
     def test_nonzero_digit_total(self):
         for n in (0, 1, 17, 255, 3**9 + 5):

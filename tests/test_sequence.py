@@ -357,6 +357,23 @@ class TestCachedTables:
                 table[0] = 1
         assert a_values(tm, [2**40 - 1, 7]).tolist() == [0, 1]
 
+    def test_chunk_width_is_largest_with_k_power_in_4096(self):
+        class ZeroSpec:
+            """What _chunk_tables reads of a spec: k and column(y)."""
+
+            def __init__(self, k):
+                self.k = k
+
+            def column(self, y):
+                return (0,) * (self.k - 1)
+
+        for k in range(2, 5001):
+            width = 1
+            while k ** (width + 1) <= 4096:
+                width += 1
+            tables = _chunk_tables(ZeroSpec(k), width + 1)
+            assert [t.size for t in tables] == [k**width, k], k
+
     def test_threads_share_one_spec(self, rng):
         # Eight threads extend and read one fresh spec's tables at once, each
         # with ascending digit counts, with a thread switch every

@@ -25,6 +25,17 @@ class TestMinLegalM:
         assert min_legal_m(1, 2, 2) == 4   # 2**3 > 6
         assert min_legal_m(0, 1, 3) == 2   # 3**1 > 4
 
+    @pytest.mark.parametrize("N, l, k, message", [
+        (0, 1, 1, "base k must be >= 2, got 1"),
+        (0, -3, 2, "n must be >= 0, got -6"),
+        (-5, 1, 3, "n must be >= 0, got -8"),
+    ], ids=["k-1", "l-negative", "N-negative"])
+    def test_bad_base_or_negative_n_raises_at_once(self, N, l, k, message):
+        # a base of 1, or a negative n under floor division, would never
+        # end a digit-counting loop
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            min_legal_m(N, l, k)
+
 
 class TestBuildWitness:
     def test_thue_morse_basic(self, tm):
