@@ -17,7 +17,7 @@ import decimal
 from dataclasses import dataclass
 from math import gcd
 
-from .kappa import _digit_words, check_budget
+from .kappa import _digit_words, _digits, check_budget
 
 __all__ = [
     "DigitExpansion",
@@ -65,21 +65,9 @@ class GapMultipleResult:
 
 
 def expand(n: int, k: int) -> DigitExpansion:
-    """Base-k expansion of n as (coefficient, exponent) terms.
-
-    Splits n by k**(2**i), largest i first, not by k once per digit.
-    """
-    if k < 2:
-        raise ValueError(f"base k must be >= 2, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    powers = [k]
-    while powers[-1] <= n:
-        powers.append(powers[-1] ** 2)
-    digits = [n]
-    for p in reversed(powers[:-1]):
-        digits = [part for x in digits for part in divmod(x, p)[::-1]]
-    return DigitExpansion(base=k, terms=tuple((s, w) for w, s in enumerate(digits) if s))
+    """Base-k expansion of n as (coefficient, exponent) terms, read by ``kappa._digits``."""
+    terms = tuple((s, w) for w, s in enumerate(_digits(n, k)) if s)
+    return DigitExpansion(base=k, terms=terms)
 
 
 def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:

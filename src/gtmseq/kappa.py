@@ -247,16 +247,37 @@ def _letter_sum(x: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
     return total
 
 
-def _numeral_length(n: int, k: int) -> int:
-    """Least m with k**m > n: the base-k digit count of n, 0 for n = 0."""
+def _ladder(n: int, k: int) -> list[int]:
+    """[k, k**2, k**4, ...] up to the first power above n: the one reader of base-k numerals."""
     if k < 2:
         raise ValueError(f"base k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = 0
-    while n:
-        n, m = n // k, m + 1
-    return m
+    powers = [k]
+    while powers[-1] <= n:
+        powers.append(powers[-1] ** 2)
+    return powers
+
+
+def _digits(n: int, k: int) -> list[int]:
+    """The base-k digits of n, least significant first, zero-padded to 2**i:
+    n split by the ladder's powers, largest first (Brent & Zimmermann, 1.7)."""
+    digits = [n]
+    for p in reversed(_ladder(n, k)[:-1]):
+        digits = [part for x in digits for part in divmod(x, p)[::-1]]
+    return digits
+
+
+def _numeral_length(n: int, k: int) -> int:
+    """Least m with k**m > n, the base-k digit count of n (0 for n = 0): k**m
+    takes each power down the ladder that keeps it at most n, with no division."""
+    powers = _ladder(n, k)
+    m, power = 0, 1
+    for i in reversed(range(len(powers) - 1)):
+        step = power * powers[i]
+        if step <= n:
+            m, power = m + (1 << i), step
+    return m + (power <= n)
 
 
 def _digit_words(base: int) -> int:
@@ -265,18 +286,8 @@ def _digit_words(base: int) -> int:
 
 
 def a_of_n(spec: KappaSpec, n: int) -> int:
-    """Digit-counting value: sum of kappa over the expansion terms of n, mod L."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    k = spec.k
-    total = 0
-    y = 0
-    while n:
-        n, d = divmod(n, k)
-        if d:
-            total += spec.column(y)[d - 1]
-        y += 1
-    return total % spec.L
+    """a(n): the sum of kappa(s, y) over the terms s * k**y of n's base-k expansion, mod L."""
+    return sum(spec.column(y)[s - 1] for y, s in enumerate(_digits(n, spec.k)) if s) % spec.L
 
 
 def _chunk_tables(spec: KappaSpec, digits: int) -> tuple[np.ndarray, ...]:

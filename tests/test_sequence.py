@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,24 @@ class TestAOfN:
             for s in range(1, spec.k):
                 for y in range(spec.preperiod + 2 * spec.period + 1):
                     assert a_of_n(spec, s * spec.k**y) == spec.kappa(s, y)
+
+    def test_value_at_sparse_terms(self, rng):
+        # a(sum s_i * k**w_i) = sum kappa(s_i, w_i) mod L over distinct w_i,
+        # the closed form over disjoint digits, at positions up to 100,000
+        started = time.process_time()
+        for _ in range(10):
+            spec = random_spec(rng)
+            terms = [(rng.randrange(1, spec.k), w)
+                     for w in rng.sample(range(100_001), rng.randint(1, 6))]
+            n = sum(s * spec.k**w for s, w in terms)
+            assert a_of_n(spec, n) == sum(spec.kappa(s, w) for s, w in terms) % spec.L
+        assert time.process_time() - started < 2.0
+
+    def test_huge_n_within_a_second(self, tm):
+        # 150,000 one digits, an even count; a divmod per digit takes about 3 s of CPU
+        started = time.process_time()
+        assert a_of_n(tm, 2**150_000 - 1) == 0
+        assert time.process_time() - started < 1.0
 
     def test_disjoint_support_additivity(self, rng):
         for _ in range(10):

@@ -1,6 +1,7 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, log
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -16,6 +17,7 @@ from gtmseq import (
     min_legal_m,
     verify_witness,
 )
+from gtmseq.kappa import _numeral_length
 from conftest import alternating_spec, constant_spec, random_spec, tail_rounding_spec
 
 
@@ -35,6 +37,21 @@ class TestMinLegalM:
         # end a digit-counting loop
         with pytest.raises(ValueError, match=f"^{message}$"):
             min_legal_m(N, l, k)
+
+    def test_huge_n_within_half_a_second(self):
+        # A division by k per digit takes about 7 s of CPU on this N.
+        N = 2**300_000
+        started = time.process_time()
+        m = min_legal_m(N, 1, 3)
+        assert time.process_time() - started < 0.5
+        # Oracle: the least M with 3**M > 2(N+1), from a float estimate of log_3
+        n = 2 * (N + 1)
+        M = int((n.bit_length() - 1) * log(2) / log(3))
+        while 3**M <= n:
+            M += 1
+        while 3 ** (M - 1) > n:
+            M -= 1
+        assert m == M + 1 == _numeral_length(n, 3) + 1
 
 
 class TestBuildWitness:
