@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expansion import _join
-from .kappa import KappaSpec, _digit_words, _numeral_length, a_values, check_budget, spaced_indices
+from .kappa import KappaSpec, _digit_words, _numeral_length, _window_end, a_values, check_budget
 from .periodicity import classify
 
 __all__ = [
@@ -40,9 +40,9 @@ class ConvergentList:
 
 def _horner_numerator(spec: KappaSpec, N: int, l: int, beta: int, count: int) -> int:
     """sum_{n<count} a(N + n*l) * beta**(count-1-n), by ``expansion._join``."""
-    indices = spaced_indices(N, l, count)
+    _window_end(N, l, count)  # the window's own checks come before its words' budget
     check_budget(count * _digit_words(beta))
-    return _join(a_values(spec, indices)[::-1].tolist(), beta, beta.bit_length())
+    return _join(a_values(spec, N, l, count)[::-1].tolist(), beta, beta.bit_length())
 
 
 def eval_series(
@@ -86,7 +86,7 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int) -> ConvergentList:
     """Continued fraction [0: a(N) + 1, a(N+l) + 1, ...] to ``depth`` quotients."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    quotients = [0] + (a_values(spec, spaced_indices(N, l, depth)) + 1).tolist()
+    quotients = [0] + (a_values(spec, N, l, depth) + 1).tolist()
     # p_n, q_n have <= n * bit_length(max quotient) bits: count 64-bit limbs.
     check_budget(depth * depth * max(quotients).bit_length() // 64)
 

@@ -156,11 +156,11 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     as a(0) = 0, so two subsequences are equal exactly when their heads
     are equal and their tail rows are equal: the group of (e, j) is keyed
     by (bytes of tail row e, head a(j)).  One digit-route call reads the
-    k**e_max heads and the e_max + 1 tail rows, about k**e_max + (e_max +
-    1) * horizon values in place of k**e_max * horizon, and the digit
-    positions of k**e_max * horizon - 1, the largest index of the
-    subsequences, so a finite window fails exactly when that index has
-    more digits than it.
+    tail rows e = e_max .. 0 and then the k**e_max heads in rows of
+    horizon values, tail row 0 their first, about k**e_max + e_max *
+    horizon values in place of k**e_max * horizon, and the digit positions
+    of k**e_max * horizon - 1, the largest index of the subsequences, so a
+    finite window fails exactly when that index has more digits than it.
 
     The budget is charged the k**e_max * horizon values the subsequences
     stand for plus ``_MEMBER_WORDS`` = 17 words for each of the (k**(e_max
@@ -174,13 +174,12 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     k, L = spec.k, spec.L
     check_budget(k**e_max * horizon + _MEMBER_WORDS * ((k ** (e_max + 1) - 1) // (k - 1)))
     top = k**e_max
-    powers = k ** np.arange(e_max + 1, dtype=np.int64)
-    tail_indices = np.multiply.outer(powers, np.arange(horizon, dtype=np.int64))
-    indices = np.concatenate((np.arange(top, dtype=np.int64), tail_indices.ravel()))
+    starts = [0] * e_max + list(range(0, top, horizon))
+    strides = [k**e for e in range(e_max, 0, -1)] + [1] * (len(starts) - e_max)
     # Every value lies in [0, L): the narrowest unsigned dtype holding L - 1
     # keeps each one, gives equal rows equal bytes and sorts by radix.
-    values = a_values(spec, indices).astype(np.min_scalar_type(L - 1))
-    heads, tails = values[:top], values[top:].reshape(e_max + 1, horizon)
+    values = a_values(spec, starts, strides, horizon).astype(np.min_scalar_type(L - 1))
+    heads, tails = values[e_max:].ravel()[:top], values[e_max::-1]
     seen: dict[bytes, int] = {}
     tail_ids = [seen.setdefault(row.tobytes(), e) for e, row in enumerate(tails)]
     # Head classes: the js of one head value, ascending (the sort is

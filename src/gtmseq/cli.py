@@ -25,8 +25,8 @@ from .analytic import eval_cf, eval_series
 from .automaton import _STATE_WORDS, kernel_explore
 from .errors import GtmseqError
 from .expansion import _decimal_str, gap_multiple
-from .kappa import (_numeral_length, a_values, check_budget, generate_prefix_morphic,
-                    spaced_indices, word_budget)
+from .kappa import (_numeral_length, _window_end, a_values, check_budget,
+                    generate_prefix_morphic, word_budget)
 from .periodicity import classify
 from .specfile import parse_spec
 from .stammer import build_witness
@@ -58,13 +58,12 @@ def _word_str(values) -> str:
 
 
 def _gen(spec, args):
-    indices = spaced_indices(args.N, args.l, args.count)
     words = []
     if args.mode != "morphic":
-        words.append(a_values(spec, indices))
+        words.append(a_values(spec, args.N, args.l, args.count))
     if args.mode != "digit":
-        m = _numeral_length(int(indices.max(initial=0)), spec.k)
-        words.append(generate_prefix_morphic(spec, m)[indices])
+        m = _numeral_length(_window_end(args.N, args.l, args.count), spec.k)
+        words.append(generate_prefix_morphic(spec, m)[args.N :: args.l][: args.count])
     agree = np.array_equal(*words) if len(words) == 2 else None
     if args.json:
         result = {"values": words[0].tolist()}

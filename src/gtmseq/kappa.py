@@ -12,24 +12,25 @@ equivalent word substitution (prefix doubling by factor k per step).
 Letters are residue indices 0..L-1; the corresponding complex roots of
 unity are never materialized.
 
-``a_values`` reads c digit positions per pass through chunk tables:
-entry t of a block's table sums kappa over the base-k digits of t at the
-block's positions, so a block costs one floor division by k**c and one
-gather (the last gathers by the quotient).  numpy floors by a scalar
-divisor with libdivide but runs ``%`` and ``divmod`` element by element,
-so the digit is taken as ``rem - quot * k**c`` and every reduction mod L
-as ``x - x // L * L`` (``_reduce_mod``).  Slabs of 2**14 indices bound
-its working memory beyond the input and output and keep it in cache.  It
-shares no code with ``generate_prefix_morphic``, the independent oracle.
+``a_values`` reads windows a(start + n*stride) as base-D limbs, D =
+k**c <= max(k, 4096): limb i of an index looks up the chunk table of
+digit positions i*c .. i*c + c - 1, whose entry t sums kappa over the
+base-k digits of t there, mod L.  numpy floors by a scalar divisor with
+libdivide but runs ``%`` and ``divmod`` element by element, so a limb
+is split off as ``x - x // D * D`` and every reduction mod L is
+``_reduce_mod``.  Slabs of 2**14 values bound its working memory beyond
+the output and keep it in cache.  It shares no code with
+``generate_prefix_morphic``, the independent oracle.
 
-A spec keeps its chunk tables (``_chunk_tables``).  Indices lie below
-2**63, so a spec holds at most 6 * max(k, 4096) int64 entries, 192 KiB
-for k <= 4096; for k > 4096 a block is one digit position and each table
-has k entries.
+A spec keeps its chunk tables by the canonical column they start at: at
+most y0 + p of them (ceil(window / c) for a finite window) of D int64
+entries, 32 KiB each for k <= 4096, however long the index.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +47,6 @@ __all__ = [
     "check_budget",
     "equally_spaced",
     "generate_prefix_morphic",
-    "spaced_indices",
     "word_budget",
 ]
 
@@ -80,25 +80,6 @@ def check_budget(count: int) -> None:
         raise BudgetExceededError(f"{shown} values exceed budget {budget}")
 
 
-def spaced_indices(start: int, stride: int, count: int) -> np.ndarray:
-    """int64 array of start + n*stride for n = 0..count-1, budget-checked.
-
-    Raises ValueError unless start >= 0, stride >= 1 and count >= 0, and
-    when an index would reach 2**63, which int64 cannot hold, instead of
-    letting it wrap around.  With count <= 1 the stride reaches no index,
-    so any stride is accepted.
-    """
-    if start < 0 or stride < 1 or count < 0:
-        raise ValueError("need start >= 0, stride >= 1, count >= 0")
-    check_budget(count)
-    if count <= 1:
-        stride = 0
-    last = start + stride * (count - 1)
-    if last >= 2**63:
-        raise ValueError(f"index {last} reaches 2**63, beyond int64 indices")
-    return start + stride * np.arange(count, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class KappaSpec:
     """Finite description of kappa: {1..k-1} x N -> Z_L, 2 <= L <= 2**57.
@@ -125,7 +106,7 @@ class KappaSpec:
     name: str | None = None
 
     def __post_init__(self):
-        # a_values sums up to 63 letters below L in int64: 63*(L-1) < 2**63
+        # a_values sums 63 letters and a residue below L in int64: 64*(L-1) < 2**63
         if not 2 <= self.L <= 2**57:
             raise ValueError(f"L must lie in [2, 2**57], got {self.L}")
         if self.k < 2:
@@ -160,6 +141,12 @@ class KappaSpec:
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(zip(*self.table))
+
+    @cached_property
+    def _chunk(self) -> tuple[int, int]:
+        """(c, k**c): a_values' limb width c >= 1, the most with k**c <= 4096."""
+        c = max(1, _numeral_length(4096, self.k) - 1)
+        return c, self.k**c
 
     @cached_property
     def normal_form(self) -> tuple[int, int] | None:
@@ -290,57 +277,81 @@ def a_of_n(spec: KappaSpec, n: int) -> int:
     return sum(spec.column(y)[s - 1] for y, s in enumerate(_digits(n, spec.k)) if s) % spec.L
 
 
-def _chunk_tables(spec: KappaSpec, digits: int) -> tuple[np.ndarray, ...]:
-    """The chunk tables that cover digit positions below ``digits``.
+def _chunk_table(spec: KappaSpec, y: int) -> np.ndarray:
+    """The read-only chunk table of digit positions y .. y + c - 1 (module
+    docstring), cut at a finite window.  It depends on the column stream
+    from y alone, so it is kept on the spec under ``canonical_column(y)``,
+    stored whole in one assignment: threads never see half a table."""
+    y = spec.canonical_column(y)
+    tables = spec.__dict__.setdefault("_chunk_tables", {})
+    if y not in tables:
+        table = np.zeros(1, dtype=np.int64)
+        for z in range(y, min(y + spec._chunk[0], spec.window or y + spec._chunk[0])):
+            # Entry d * old size + r: digit d at position z, entry r below.
+            table = np.add.outer(np.array((0,) + spec.column(z), dtype=np.int64), table).ravel()
+        _reduce_mod(table, spec.L).setflags(write=False)
+        tables[y] = table
+    return tables[y]
 
-    Built once per spec: a call past the positions the kept tables cover
-    goes on from where the last one stopped, in a new list, and publishes
-    it with the count in one assignment, so another thread sees the old
-    tables or the new ones, never a half-extended list.  Every column
-    below ``digits`` is read here or was read by an earlier call, so a
-    finite window fails exactly when ``digits`` passes it, and a failed
-    call keeps the old value.  Returns the first ceil(digits / c) tables.
+
+def _window_end(start: int, stride: int, count: int) -> int:
+    """The last index start + (count - 1) * stride of a window (0 if empty), after its
+    checks: ValueError unless start, stride - 1 and count are >= 0, then the budget."""
+    if start < 0 or stride < 1 or count < 0:
+        raise ValueError("need start >= 0, stride >= 1, count >= 0")
+    check_budget(count)
+    return start + stride * (count - 1) if count else 0
+
+
+def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
+    """a(start + n*stride) for n < count, as an int64 array.
+
+    ``start`` and ``stride`` are Python ints of any size, for one window of
+    ``count`` values charged to the budget, or sequences of ints, for one
+    row of ``count`` values per entry, which their caller budgets.  Raises
+    ValueError unless every start >= 0, every stride >= 1 and count >= 0,
+    or when an index of a row reaches 2**63, past int64.  A finite window
+    fails exactly when the largest index has more digits than it.
     """
-    width = max(1, _numeral_length(4096, spec.k) - 1)
-    tables, positions = spec.__dict__.get("_chunk_tables", ((), 0))
-    if positions < digits:
-        grown = list(tables)
-        for y in range(positions, digits):
-            column = np.array((0,) + spec.column(y), dtype=np.int64)
-            if y % width:
-                # Entry d * old size + r: digit d at position y, entry r below.
-                grown[-1] = np.add.outer(column, grown[-1]).ravel()
-            else:
-                grown.append(column)
-        for table in grown[positions // width :]:
-            table.setflags(write=False)
-        tables = tuple(grown)
-        spec.__dict__["_chunk_tables"] = (tables, digits)
-    return tables[: -(-digits // width)]
-
-
-def a_values(spec: KappaSpec, indices) -> np.ndarray:
-    """Vectorized a_of_n over an array of non-negative indices.
-
-    Reads the chunk tables (module docstring) that its largest index's
-    digits need.  A slab sums at most 63 entries below L <= 2**57 before
-    its one reduction mod L, so the sum stays below 2**63.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(idx.size, dtype=np.int64)
-    if idx.size and idx.min() < 0:
-        raise ValueError("indices must be >= 0")
-    tables = _chunk_tables(spec, _numeral_length(int(idx.max(initial=0)), spec.k))
-    flat = idx.ravel()
-    for lo in range(0, idx.size if tables else 0, _SLAB):
-        acc, rem = out[lo : lo + _SLAB], flat[lo : lo + _SLAB]
-        for table in tables[:-1]:
-            quot = rem // table.size
-            acc += table[rem - quot * table.size]
-            rem = quot
-        acc += tables[-1][rem]
-        _reduce_mod(acc, spec.L)
-    return out.reshape(idx.shape)
+    if isinstance(start, int) and isinstance(stride, int):
+        end, rows = _window_end(start, stride, count), 1
+        # no index is read from an empty window, nor the stride of one value
+        start, stride = start if count else 0, stride if count > 1 else 0
+    else:
+        # Rows are checked in Python ints, which cannot wrap around.
+        starts, strides = (x.tolist() if isinstance(x, np.ndarray) else x for x in (start, stride))
+        if count < 0 or min(starts, default=0) < 0 or min(strides, default=1) < 1:
+            raise ValueError("need start >= 0, stride >= 1, count >= 0")
+        last = [d * (count - 1) for d in strides] if count else []
+        end = max(map(operator.add, starts, last), default=0)
+        if end >= 2**63:
+            raise ValueError(f"index {end} reaches 2**63, beyond int64 indices")
+        start, stride = (np.asarray(x, dtype=np.int64)[:, None] for x in (start, stride))
+        rows = max(start.size, stride.size)
+    c, D = spec._chunk
+    digits = max(_numeral_length(end, spec.k), 1)
+    spec.column(digits - 1)  # a finite window fails here
+    tables = [_chunk_table(spec, y) for y in range(0, digits, c)]
+    # Limb i of start + n*stride is start_i + stride_i * n plus the carry out
+    # of limb i - 1 (Knuth 4.3.1, Algorithms A and M), and the top limb is
+    # below D.  Below 2**63 limb 0 takes all of start and stride.
+    limbs = [(start, stride)] if end < 2**63 else list(
+        itertools.zip_longest(_digits(start, D), _digits(stride, D), fillvalue=0))
+    width = max(_SLAB // max(rows, 1), 1)
+    slabs = []
+    for lo in range(0, max(count, 1), width):
+        n = np.arange(lo, min(lo + width, count), dtype=np.int64)
+        carry = limbs[0][1] * n + limbs[0][0]
+        for i, (table, (s, d)) in enumerate(zip(tables, limbs + [(0, 0)] * len(tables))):
+            limb = carry + d * n + s if i and (d or s) else carry
+            if i < len(tables) - 1:
+                carry = limb // D
+                limb -= carry * D
+            acc = np.add(acc, table[limb], out=acc) if i else table[limb]
+            if i % 63 == 62:
+                _reduce_mod(acc, spec.L)
+        slabs.append(_reduce_mod(acc, spec.L) if len(tables) > 1 else acc)
+    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs, axis=-1)
 
 
 def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
@@ -364,5 +375,5 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
 
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:
     """Window of a(start + n*stride) for n = 0..count-1."""
-    vals = a_values(spec, spaced_indices(start, stride, count))
+    vals = a_values(spec, start, stride, count)
     return SequenceWindow(start=start, stride=stride, values=tuple(vals.tolist()))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kappa import KappaSpec, _reduce_mod, a_values, spaced_indices, word_budget
+from .kappa import KappaSpec, _reduce_mod, _window_end, a_values, word_budget
 
 __all__ = [
     "PeriodicityVerdict",
@@ -224,15 +224,16 @@ def aenp_scan(
         max_preperiod = horizon // 4
     if max_period is None:
         max_period = horizon // 4
-    # One window's budget, and the 2**63 check on the largest index.
-    spaced_indices(max_start, max_stride, horizon)
-    steps = np.arange(horizon, dtype=np.int64)
+    _window_end(max_start, max_stride, horizon)  # one window's checks and budget
+    last = max_start + max_stride * max(horizon - 1, 0)
+    if last >= 2**63:
+        raise ValueError(f"index {last} reaches 2**63, beyond int64 indices")
     rows = max(min(word_budget(), 2**16) // max(horizon, 1), 1)
     grid = itertools.product(range(1, max_stride + 1), range(max_start + 1))
     hits = []
     while batch := list(itertools.islice(grid, rows)):
-        pairs = np.array(batch, dtype=np.int64)
-        windows = a_values(spec, pairs[:, 1:] + pairs[:, :1] * steps)
+        strides, starts = zip(*batch)
+        windows = a_values(spec, starts, strides, horizon)
         periods = _window_periods(windows, max_preperiod, max_period)
         hits += [
             {"N": start, "l": stride, "preperiod": found[0], "period": found[1]}

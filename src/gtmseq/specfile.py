@@ -22,8 +22,8 @@ more than parsing a small spec; ``splitlines`` handles CR and CRLF.
 It reads the file on every call, but returns one ``KappaSpec`` object
 per text among the last 8 texts parsed, so the work cached on a spec
 (``normal_form``, the chunk tables of ``kappa.a_values``, at most
-6 * max(k, 4096) int64 entries) is done once for all the calls that
-read one file.  A file that fails to parse raises on every call.
+y0 + p tables of max(k, 4096) int64 entries) is done once for all the
+calls that read one file.  A file that fails to parse raises on every call.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import MTooSmallError, PeriodicSpecError
-from .kappa import KappaSpec, SequenceWindow, _numeral_length, a_values, spaced_indices
+from .errors import BudgetExceededError, MTooSmallError, PeriodicSpecError
+from .kappa import KappaSpec, SequenceWindow, _numeral_length, a_values, word_budget
 from .periodicity import classify
 
 __all__ = [
@@ -84,11 +84,11 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     if m < legal:
         raise MTooSmallError(f"m={m} below minimum {legal} for N={N}, l={l}, k={k}")
 
-    if m >= 63:
-        # the largest shift index L * l * k**m is then at least 2**64
-        raise ValueError(f"shift index L*l*k**{m} reaches 2**63, beyond int64 indices")
+    budget = word_budget()
+    if m >= _numeral_length(budget, k):
+        raise BudgetExceededError(f"a witness reads over {k}**{m} values, past budget {budget}")
     block = k**m
-    shifts = a_values(spec, spaced_indices(0, l * block, L + 1)).tolist()
+    shifts = a_values(spec, 0, l * block, L + 1).tolist()
     # Deterministic pigeonhole: among collisions take smallest t'-t, then t.
     # A least gap lies between consecutive equal shifts, so one pass that
     # remembers the last t of each residue sees every candidate.
@@ -107,7 +107,7 @@ def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     n1 = t * block
     n2 = tp * block
     total = n2 + repeat_len
-    vals = tuple(a_values(spec, spaced_indices(N, l, total)).tolist())
+    vals = tuple(a_values(spec, N, l, total).tolist())
 
     U = vals[:n1]
     V = vals[n1:n2]

@@ -12,8 +12,7 @@ from gtmseq import KappaSpec, KernelResult, KernelState, PeriodicityVerdict
 from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import WindowExceededError
 from gtmseq.expansion import expand
-from gtmseq.kappa import (check_budget, equally_spaced, generate_prefix_morphic,
-                          spaced_indices, word_budget)
+from gtmseq.kappa import check_budget, equally_spaced, generate_prefix_morphic, word_budget
 from gtmseq.periodicity import NON_PERIODIC, PERIODIC
 
 # Appended to a child's code: prints its peak resident set in KiB.  On
@@ -257,7 +256,7 @@ def gen_line_literal(spec, mode, N, l, count):
     words = []
     if mode != "morphic":
         words.append(list(equally_spaced(spec, N, l, count).values))
-    indices = spaced_indices(N, l, count).tolist()
+    indices = [N + n * l for n in range(count)]
     m = expand(max(indices, default=0), spec.k).length
     word = generate_prefix_morphic(spec, m).tolist()
     words.append([word[i] for i in indices])

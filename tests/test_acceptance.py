@@ -80,7 +80,7 @@ def test_criterion_02_definition_equivalence(report):
     start = time.perf_counter()
     for spec in corpus():
         count = spec.k**8
-        digit = a_values(spec, np.arange(count))
+        digit = a_values(spec, 0, 1, count)
         m = 8
         morphic = generate_prefix_morphic(spec, m)
         assert len(morphic) == count
@@ -96,7 +96,7 @@ def test_criterion_03_generating_function_identity(report):
         assert sorted(coefficients) == list(range(spec.k**6))
         exponents = [coefficients[n] for n in range(spec.k**6)]
         assert exponents == generate_prefix_morphic(spec, 6).tolist()
-        assert exponents == a_values(spec, np.arange(spec.k**6)).tolist()
+        assert exponents == a_values(spec, 0, 1, spec.k**6).tolist()
     report(3, f"{CORPUS_SIZE} specs, all n < k^6, literal product = both routes")
 
 
@@ -109,7 +109,7 @@ def test_criterion_04_periodic_side(report):
         assert verdict.status == PERIODIC
         assert verdict.shift is not None and verdict.shift <= built_A
         bound = spec.L * spec.k**built_A
-        values = a_values(spec, np.arange(4 * bound))
+        values = a_values(spec, 0, 1, 4 * bound)
         found = brute_force_period(values, 2 * bound, bound)
         assert found is not None
         _, l = found
@@ -125,7 +125,7 @@ def test_criterion_05_non_periodic_side(report):
         if classify(spec).status != NON_PERIODIC:
             continue
         checked += 1
-        window = a_values(spec, np.arange(3 * 2048 + 2048))
+        window = a_values(spec, 0, 1, 3 * 2048 + 2048)
         assert brute_force_period(window, 2048, 2048) is None
         assert aenp_scan(spec, 8, 8, 4096, max_preperiod=256, max_period=256) == []
     elapsed = time.perf_counter() - start
@@ -142,7 +142,7 @@ def test_criterion_06_constant_kappa_exhaustive(report):
             fast = classify_constant(L, k, kvec)
             full = classify(spec)
             assert fast.status == full.status
-            values = a_values(spec, np.arange(4096))
+            values = a_values(spec, 0, 1, 4096)
             found = brute_force_period(values, 256, 64)
             if full.status == PERIODIC:
                 assert found is not None

@@ -3,7 +3,6 @@ import time
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +16,6 @@ from gtmseq import (
     eval_series,
     generate_prefix_morphic,
     periodic_series_value,
-    spaced_indices,
 )
 from gtmseq.analytic import _horner_numerator
 from conftest import (
@@ -77,7 +75,7 @@ class TestProductCoefficients:
             assert sorted(coefficients) == list(range(spec.k**6))
             exponents = [coefficients[n] for n in range(spec.k**6)]
             assert exponents == generate_prefix_morphic(spec, 6).tolist()
-            assert exponents == a_values(spec, np.arange(spec.k**6)).tolist()
+            assert exponents == a_values(spec, 0, 1, spec.k**6).tolist()
 
 
 class TestEvalSeries:
@@ -185,7 +183,7 @@ class TestHornerNumerator:
         spec = random_spec(rng)
         beta = draw_base(base, spec.L)
         count = max(0, run_width(beta) * runs[0] + runs[1])
-        values = a_values(spec, spaced_indices(N, l, count)).tolist()
+        values = a_values(spec, N, l, count).tolist()
         assert _horner_numerator(spec, N, l, beta, count) == horner_literal(values, beta)
 
     @settings(max_examples=40, deadline=None)
@@ -198,7 +196,7 @@ class TestHornerNumerator:
         spec, _ = periodic_constructed_spec(rng, A_max=1, min_period=min_period)
         beta = draw_base(base, spec.L)
         P = classify(spec).period
-        values = a_values(spec, spaced_indices(N, l, P)).tolist()
+        values = a_values(spec, N, l, P).tolist()
         exact = Fraction(horner_literal(values, beta), beta**P - 1)
         assert periodic_series_value(spec, N, l, beta) == exact
 
@@ -208,7 +206,7 @@ class TestHornerNumerator:
         started = time.process_time()
         numerator = _horner_numerator(tm, 0, 1, 2, 320_002)
         assert time.process_time() - started < 1.0
-        bits = "".join(map(str, a_values(tm, spaced_indices(0, 1, 320_002)).tolist()))
+        bits = "".join(map(str, a_values(tm, 0, 1, 320_002).tolist()))
         assert numerator == int(bits, 2)
 
 

@@ -297,7 +297,7 @@ class TestKernelBruteForce:
             for e in range(4):
                 scale = spec.k**e
                 for j in {0, scale // 2, scale - 1}:
-                    lhs = a_values(spec, scale * np.arange(64) + j)
+                    lhs = a_values(spec, j, scale, 64)
                     shift_vals = []
                     for n in range(64):
                         total = 0
@@ -407,7 +407,7 @@ class TestKernelBruteForceCases:
             spec = random_spec(rng, L_max=6, k_max=5, y0_max=2, p_max=3)
             e_max = 4 if spec.k < 4 else 3
             got = self.definition_items(spec, e_max, 1)
-            heads = a_values(spec, np.arange(spec.k**e_max))
+            heads = a_values(spec, 0, 1, spec.k**e_max)
             assert sorted(prefix for prefix, _ in got) == [(v,) for v in np.unique(heads).tolist()]
 
     def test_e_max_zero(self, rng):
@@ -415,7 +415,7 @@ class TestKernelBruteForceCases:
         for _ in range(4):
             spec = random_spec(rng, L_max=6, k_max=5, y0_max=2, p_max=3)
             got = self.definition_items(spec, 0, 50)
-            assert got == [(tuple(a_values(spec, np.arange(50)).tolist()), [(0, 0)])]
+            assert got == [(tuple(a_values(spec, 0, 1, 50).tolist()), [(0, 0)])]
 
     def test_distinct_heads_large_modulus(self):
         # kappa(s, y) = s * k**y * M mod 2**57 with M odd, so a(j) = j * M
@@ -425,7 +425,7 @@ class TestKernelBruteForceCases:
         table = tuple(tuple(s * k**y * M % L for y in range(e_max)) + (L - 1,)
                       for s in range(1, k))
         spec = KappaSpec(L=L, k=k, preperiod=e_max, period=1, table=table)
-        assert a_values(spec, np.arange(k**e_max)).tolist() == [
+        assert a_values(spec, 0, 1, k**e_max).tolist() == [
             j * M % L for j in range(k**e_max)]
         got = self.definition_items(spec, e_max, 9)
         assert len({prefix[0] for prefix, _ in got}) == k**e_max
@@ -482,7 +482,7 @@ class TestKernelBruteForceProperty:
 
 def tuple_grouping(spec, e_max, horizon):
     """kernel_brute_force's grouping with a tuple key built per column."""
-    word = a_values(spec, np.arange(spec.k**e_max * horizon, dtype=np.int64))
+    word = a_values(spec, 0, 1, spec.k**e_max * horizon)
     groups = {}
     for e in range(e_max + 1):
         scale = spec.k**e

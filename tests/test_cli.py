@@ -751,17 +751,24 @@ class TestErrors:
         assert run(capsys, "classify", str(spec)) == (2, "", f"error: {message}\n")
 
     def test_index_beyond_int64(self, capsys):
-        half = str(2**62)
-        code, out, err = run(capsys, "gen", TM, "--N", half, "--l", half, "--count", "3")
-        assert code == 2
-        assert out == ""
-        assert "2**63" in err
+        tm = parse_spec(TM)
+        for N, l in [(2**62, 2**62), (2**70, 3), (5, 2**70 + 1)]:
+            want = [a_of_n(tm, N + n * l) for n in range(8)]
+            code, out, err = run(capsys, "gen", TM, "--N", str(N), "--l", str(l), "--count", "8")
+            assert (code, out) == (0, "".join(map(str, want)) + "\n")
+            code, out, err = run(capsys, "cf", TM, str(N), str(l), "--depth", "8")
+            assert code == 0
+            assert json.loads(out)["result"]["quotients"] == [0] + [a + 1 for a in want]
 
-    def test_huge_integer_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "eval", TM, str(2**63), "1", "--beta", "2")
-        assert code == 2
-        assert out == ""
-        assert "error" in err
+    def test_huge_integer_answers(self, capsys):
+        # 14 digits take 14 * 4 + 2 = 58 terms in base 2
+        tm = parse_spec(TM)
+        code, out, err = run(capsys, "eval", TM, str(2**63), str(2**70), "--beta", "2",
+                             "--digits", "14")
+        assert code == 0
+        terms = [a_of_n(tm, 2**63 + n * 2**70) for n in range(58)]
+        numerator = int("".join(map(str, terms)), 2)
+        assert json.loads(out)["result"]["lo"] == f"{numerator}/{2**58}"
 
     def test_large_prime_k_gets_witness(self, capsys):
         k = 2**61 - 1
@@ -776,6 +783,8 @@ class TestErrors:
         ("cf", TM, "5", "-1", "--depth", "4"),
         ("gen", TM, "--mode", "morphic", "--l", "-1", "--count", "3"),
         ("gen", TM, "--mode", "morphic", "--l", "-1", "--count", "2"),
+        ("gen", TM, "--mode", "both", "--l", "-1", "--count", "3"),
+        ("gen", TM, "--mode", "morphic", "--l", "0", "--count", "1"),
     ])
     def test_negative_stride_is_usage_error(self, capsys, argv):
         # a decreasing run a(5), a(4), ... is no subsequence a(N + n*l)
@@ -819,13 +828,14 @@ class TestLimits:
         assert run(capsys, "stammer", spec, "0", "1", "4")[0] == 0
 
     def test_stammer_shift_index_reaches_2_63(self, tmp_path, capsys, monkeypatch):
-        # the largest block shift index is L * l * 2**m = 2**20 * 2**30 * 2**33
+        # the largest block shift index is L * l * 2**m = 2**20 * 2**30 * 2**33,
+        # and the witness reads more than 2**33 values, past the budget
         spec = write_spec(tmp_path, 2**20, 2, 1)
         monkeypatch.setenv("GTMSEQ_BUDGET", str(2**21))
         code, out, err = run(capsys, "stammer", spec, "0", str(2**30), "33")
-        assert code == 2
+        assert code == 5
         assert out == ""
-        assert "2**63" in err
+        assert "2**33 values, past budget 2097152" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("k,t,code", [
@@ -897,10 +907,12 @@ class TestLimits:
         assert {key: got[key] for key in result} == result
 
     @pytest.mark.parametrize("m", ["100000000", "1099511627776"])
-    def test_stammer_huge_m_is_usage_error(self, capsys, m):
-        # m >= 63 puts the largest shift index L * l * k**m past 2**64
+    def test_stammer_huge_m_exceeds_budget(self, capsys, m):
+        # k**m is never built: m alone decides that it passes the budget
+        started = time.process_time()
         code, out, err = run(capsys, "stammer", ALTERNATING, "0", "1", m)
-        assert code == 2
+        assert time.process_time() - started < 0.5
+        assert code == 5
         assert out == ""
-        assert "2**63" in err
+        assert "budget" in err
         assert "Traceback" not in err

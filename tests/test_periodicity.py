@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gtmseq import BudgetExceededError, KappaSpec, a_values, periodicity, spaced_indices
+from gtmseq import BudgetExceededError, KappaSpec, a_values, periodicity
 from gtmseq.periodicity import (
     NON_PERIODIC,
     PERIODIC,
@@ -118,7 +118,7 @@ class TestClassify:
         assert verdict.shift == 0
         assert verdict.period == 2
         # generated sequence alternates 0, 1
-        assert list(a_values(spec, np.arange(12))) == [n % 2 for n in range(12)]
+        assert list(a_values(spec, 0, 1, 12)) == [n % 2 for n in range(12)]
 
     def test_alternating_non_periodic(self):
         assert classify(alternating_spec()).status == NON_PERIODIC
@@ -230,7 +230,7 @@ class TestBruteForcePeriod:
         assert brute_force_period(word, 4, 8) == (3, 2)
 
     def test_thue_morse_has_no_short_period(self, tm):
-        word = a_values(tm, np.arange(2**14))
+        word = a_values(tm, 0, 1, 2**14)
         assert brute_force_period(word, 2**12, 2**12) is None
 
     def test_insufficient_length(self):
@@ -272,7 +272,7 @@ def per_window_scan(spec, max_start, max_stride, horizon, max_preperiod, max_per
     hits = []
     for stride in range(1, max_stride + 1):
         for start in range(max_start + 1):
-            window = a_values(spec, spaced_indices(start, stride, horizon))
+            window = a_values(spec, start, stride, horizon)
             found = reference_period(window, max_preperiod, max_period)
             if found is not None:
                 hits.append({"N": start, "l": stride, "preperiod": found[0], "period": found[1]})

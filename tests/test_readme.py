@@ -39,6 +39,15 @@ def readme_commands():
 COMMANDS = readme_commands()
 
 
+def example_ids(commands):
+    """Each example's subcommand, numbered from its second example on: cf, cf-2."""
+    ids, seen = [], {}
+    for argv, _ in commands:
+        seen[argv[0]] = seen.get(argv[0], 0) + 1
+        ids.append(argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}")
+    return ids
+
+
 def readme_tour():
     """Source of the README's one ``python`` block."""
     lines = README.read_text(encoding="utf-8").splitlines()
@@ -80,7 +89,7 @@ def test_every_subcommand_has_an_example():
     )
 
 
-@pytest.mark.parametrize("argv, comment", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+@pytest.mark.parametrize("argv, comment", COMMANDS, ids=example_ids(COMMANDS))
 def test_example_runs(capsys, argv, comment):
     code = main(argv)
     out = capsys.readouterr().out
@@ -102,6 +111,8 @@ def test_example_runs(capsys, argv, comment):
     elif command == "cf":
         # [0: a(0) + 1, a(1) + 1, ...]: the leading 0, then depth quotients
         assert len(result["quotients"]) == int(argv[argv.index("--depth") + 1]) + 1
+        if comment.startswith("["):
+            assert result["quotients"] == commented_value(comment)
     elif command == "gap":
         l, k, t = (int(v) for v in argv[1:])
         assert (l, k, t) == (6, 10, 2)

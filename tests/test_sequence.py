@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gtmseq import (
     kernel_brute_force,
     periodic_series_value,
 )
-from gtmseq.kappa import _chunk_tables, _reduce_mod
+from gtmseq.kappa import _reduce_mod
 from conftest import (alternating_spec, constant_spec, generate_prefix_morphic_literal,
                       random_spec, zero_spec)
 
@@ -144,16 +145,15 @@ class TestMorphic:
     @given(morphic_cases())
     def test_agrees_with_digit_counting(self, case):
         spec, m = case
-        indices = np.arange(spec.k**m, dtype=np.int64)
         if spec.is_finite_window and m > spec.window:
             with pytest.raises(WindowExceededError):
                 generate_prefix_morphic(spec, m)
             with pytest.raises(WindowExceededError):
-                a_values(spec, indices)
+                a_values(spec, 0, 1, spec.k**m)
             return
         word = generate_prefix_morphic(spec, m)
         assert word.dtype == np.int64
-        assert word.tolist() == a_values(spec, indices).tolist()
+        assert word.tolist() == a_values(spec, 0, 1, spec.k**m).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(morphic_cases())
@@ -204,16 +204,27 @@ class TestVectorized:
     def test_matches_scalar(self, rng):
         for _ in range(10):
             spec = random_spec(rng)
-            idx = [rng.randrange(10**7) for _ in range(100)]
-            vec = a_values(spec, idx)
-            assert list(vec) == [a_of_n(spec, n) for n in idx]
+            N, l = rng.randrange(10**7), rng.randrange(1, 10**5)
+            vec = a_values(spec, N, l, 100)
+            assert list(vec) == [a_of_n(spec, N + n * l) for n in range(100)]
 
     def test_empty(self, tm):
-        assert len(a_values(tm, [])) == 0
+        assert a_values(tm, 5, 3, 0).shape == (0,)
+        assert a_values(tm, np.zeros(0, dtype=np.int64), np.ones(0, dtype=np.int64), 4).shape \
+            == (0, 4)
 
     def test_rejects_negative(self, tm):
-        with pytest.raises(ValueError):
-            a_values(tm, [3, -1])
+        one, two = np.array([3]), np.array([3, 1])
+        for window in [(-1, 1, 3), (0, 0, 3), (0, 1, -1), (np.array([3, -1]), two, 2),
+                       (two, np.array([1, 0]), 2), (one, one, -1)]:
+            with pytest.raises(ValueError, match="need start >= 0, stride >= 1, count >= 0"):
+                a_values(tm, *window)
+
+    def test_array_window_past_int64_refused(self, tm):
+        # row 0 ends at 2**62 + 2 * 2**61 = 2**63; int windows of any size answer
+        with pytest.raises(ValueError, match=f"index {2**63} reaches 2\\*\\*63"):
+            a_values(tm, np.array([2**62, 0]), np.array([2**61, 1]), 3)
+        assert a_values(tm, 2**62, 2**61, 3).tolist() == [1, 0, 1]
 
 
 def per_digit_values(spec, indices):
@@ -239,11 +250,26 @@ def per_digit_values(spec, indices):
     return acc % L
 
 
+def window_indices(start, stride, count):
+    """The int64 indices start + n * stride, n < count, of a window below 2**63."""
+    return start + stride * np.arange(count, dtype=np.int64)
+
+
+@st.composite
+def windows_ending_at(draw, top, count):
+    """(start, stride, count) of a window whose indices lie in [0, top],
+    with the last at top half the time."""
+    stride = draw(st.integers(1, max(top // max(count - 1, 1), 1)))
+    last = stride * max(count - 1, 0)
+    start = max(top - last, 0) if draw(st.booleans()) else draw(st.integers(0, max(top - last, 0)))
+    return start, stride, count
+
+
 @st.composite
 def digit_route_cases(draw, window=False):
-    """A spec with k in [2, 7] and L up to 2**57, and an index array.
+    """A spec with k in [2, 7] and L up to 2**57, and a window.
 
-    The array size is small, or within one of 32 * k**c, a multiple of a
+    The count is small, or within one of 32 * k**c, a multiple of a
     chunk-table size k**c <= 4096; the largest index is anywhere up to
     2**63 - 1, and is sometimes present.
     """
@@ -261,24 +287,21 @@ def digit_route_cases(draw, window=False):
     spec = KappaSpec(L=L, k=k, preperiod=y0, period=p, table=table,
                      window=cols if window else None)
     steps = [32 * k**c for c in range(1, 13) if k**c <= 4096]
-    size = draw(st.one_of(
+    count = draw(st.one_of(
         st.integers(0, 80),
         st.sampled_from(steps).flatmap(lambda n: st.integers(n - 1, n + 1)),
     ))
     top = draw(st.one_of(st.integers(0, 2**16), st.integers(0, 2**63 - 1)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    idx = np.random.default_rng(seed).integers(0, top, size=size, endpoint=True)
-    if size and draw(st.booleans()):
-        idx[draw(st.integers(0, size - 1))] = top
-    return spec, idx
+    return spec, draw(windows_ending_at(top, count))
 
 
 class TestChunkTables:
     @settings(max_examples=100, deadline=None)
     @given(digit_route_cases())
     def test_matches_per_digit_loop_and_a_of_n(self, case):
-        spec, idx = case
-        got = a_values(spec, idx)
+        spec, (start, stride, count) = case
+        idx = window_indices(start, stride, count)
+        got = a_values(spec, start, stride, count)
         assert got.dtype == np.int64 and got.shape == idx.shape
         assert np.array_equal(got, per_digit_values(spec, idx))
         for i in range(0, idx.size, max(idx.size // 40, 1)):
@@ -287,24 +310,30 @@ class TestChunkTables:
     @settings(max_examples=100, deadline=None)
     @given(digit_route_cases(window=True))
     def test_finite_window_raises_where_per_digit_loop_does(self, case):
-        spec, idx = case
+        spec, window = case
         try:
-            want = per_digit_values(spec, idx)
+            want = per_digit_values(spec, window_indices(*window))
         except WindowExceededError:
             with pytest.raises(WindowExceededError):
-                a_values(spec, idx)
+                a_values(spec, *window)
         else:
-            assert np.array_equal(a_values(spec, idx), want)
+            assert np.array_equal(a_values(spec, *window), want)
 
     def test_slab_boundary(self, rng):
         spec = random_spec(rng, L_max=7, k_max=7)
-        for size in (2**14 + 3, 2**20 + 3):
-            idx = np.random.default_rng(7).integers(0, 2**63 - 1, size=size, endpoint=True)
-            assert np.array_equal(a_values(spec, idx), per_digit_values(spec, idx))
+        for count in (2**14 + 3, 2**20 + 3):
+            stride = (2**63 - 1) // count
+            idx = window_indices(5, stride, count)
+            assert np.array_equal(a_values(spec, 5, stride, count), per_digit_values(spec, idx))
+        # Array windows take slabs of 2**14 // rows columns.
+        starts, strides = np.array([0, 7, 2**40]), np.array([1, 2**30, 3])
+        idx = starts[:, None] + strides[:, None] * np.arange(2**14 + 5)
+        assert np.array_equal(a_values(spec, starts, strides, 2**14 + 5),
+                              per_digit_values(spec, idx))
 
     def test_matrix_shape_kept(self, tm):
-        idx = np.arange(12).reshape(3, 4)
-        assert np.array_equal(a_values(tm, idx), per_digit_values(tm, idx))
+        got = a_values(tm, np.array([0, 4, 8]), np.ones(3, dtype=np.int64), 4)
+        assert np.array_equal(got, per_digit_values(tm, np.arange(12).reshape(3, 4)))
 
 
 def digit_count(n, k):
@@ -314,7 +343,7 @@ def digit_count(n, k):
 @st.composite
 def call_sequences(draw):
     """A spec of ``digit_route_cases``, periodic or finite-window, and one
-    to six index arrays, each with a drawn digit count of its largest index."""
+    to six windows, each ending at an index of a drawn digit count."""
     spec, _ = draw(digit_route_cases(window=draw(st.booleans())))
     most = digit_count(2**63 - 1, spec.k)
     calls = []
@@ -322,31 +351,30 @@ def call_sequences(draw):
         digits = draw(st.one_of(st.integers(0, min(most, (spec.window or 0) + 2)),
                                 st.integers(0, most)))
         top = min(spec.k**digits - 1, 2**63 - 1)
-        seed = draw(st.integers(0, 2**32 - 1))
-        idx = np.random.default_rng(seed).integers(0, top, size=draw(st.integers(1, 40)),
-                                                   endpoint=True)
-        idx[-1] = top
-        calls.append(idx)
+        count = draw(st.integers(1, 40))
+        stride = draw(st.integers(1, max(top // max(count - 1, 1), 1)))
+        calls.append((max(top - stride * (count - 1), 0), stride, count))
     return spec, calls
 
 
-def values_or_error(spec, idx):
+def values_or_error(spec, window):
     try:
-        return a_values(spec, idx).tolist()
+        return a_values(spec, *window).tolist()
     except WindowExceededError:
         return WindowExceededError
 
 
 class TestCachedTables:
-    """``a_values`` keeps its chunk tables on the spec and extends them."""
+    """``a_values`` keeps its chunk tables on the spec, one per canonical column."""
 
     @settings(max_examples=100, deadline=None)
     @given(call_sequences())
     def test_call_sequence_matches_fresh_spec(self, case):
         spec, calls = case
-        for idx in calls:
-            got = values_or_error(spec, idx)
-            assert got == values_or_error(replace(spec), idx)
+        for window in calls:
+            idx = window_indices(*window)
+            got = values_or_error(spec, window)
+            assert got == values_or_error(replace(spec), window)
             past = spec.is_finite_window and digit_count(int(idx[-1]), spec.k) > spec.window
             assert (got is WindowExceededError) == past
             if not past:
@@ -356,52 +384,45 @@ class TestCachedTables:
     def test_window_either_order(self, past_first):
         spec = KappaSpec(L=5, k=3, preperiod=0, period=None,
                          table=((1, 2, 3, 4), (4, 0, 2, 1)), window=4)
-        inside, past, small = np.arange(3**4), np.array([5, 3**4]), np.array([7, 2])
-        for idx in [past, inside, small] if past_first else [inside, past, small, past]:
-            if idx is past:
+        inside, past, small = (0, 1, 3**4), (5, 3**4 - 5, 2), (2, 5, 2)
+        for window in [past, inside, small] if past_first else [inside, past, small, past]:
+            if window is past:
                 with pytest.raises(WindowExceededError, match="y=4 but window bound is 4"):
-                    a_values(spec, idx)
+                    a_values(spec, *window)
             else:
-                assert a_values(spec, idx).tolist() == [a_of_n(spec, int(n)) for n in idx]
+                assert a_values(spec, *window).tolist() == \
+                    [a_of_n(spec, int(n)) for n in window_indices(*window)]
 
     def test_tables_reused_and_read_only(self, tm):
-        a_values(tm, [2**40])
-        tables = _chunk_tables(tm, 41)
-        assert [t.size for t in tables] == [4096, 4096, 4096, 2**5]
-        # A call reads only the blocks its digit count needs.
-        small = _chunk_tables(tm, 3)
-        assert len(small) == 1 and small[0] is tables[0]
-        for table in tables:
+        # Thue-Morse has one column stream, so one table serves every limb.
+        a_values(tm, 2**40, 1, 1)
+        tables = tm.__dict__["_chunk_tables"]
+        assert list(tables) == [0] and tables[0].size == 4096
+        first = tables[0]
+        for table in tables.values():
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 1
-        assert a_values(tm, [2**40 - 1, 7]).tolist() == [0, 1]
+        assert a_values(tm, np.array([2**40 - 1, 7]), np.ones(2, dtype=np.int64), 1).tolist() \
+            == [[0], [1]]
+        assert a_values(tm, 10**4000, 10**3999, 3).tolist() == \
+            [a_of_n(tm, 10**4000 + n * 10**3999) for n in range(3)]
+        assert list(tables) == [0] and tables[0] is first
 
     def test_chunk_width_is_largest_with_k_power_in_4096(self):
-        class ZeroSpec:
-            """What _chunk_tables reads of a spec: k and column(y)."""
-
-            def __init__(self, k):
-                self.k = k
-
-            def column(self, y):
-                return (0,) * (self.k - 1)
-
         for k in range(2, 5001):
             width = 1
             while k ** (width + 1) <= 4096:
                 width += 1
-            tables = _chunk_tables(ZeroSpec(k), width + 1)
-            assert [t.size for t in tables] == [k**width, k], k
+            assert KappaSpec._chunk.func(SimpleNamespace(k=k)) == (width, k**width), k
 
     def test_threads_share_one_spec(self, rng):
-        # Eight threads extend and read one fresh spec's tables at once, each
+        # Eight threads build and read one fresh spec's tables at once, each
         # with ascending digit counts, with a thread switch every
-        # microsecond; a half-extended table list would give wrong values.
+        # microsecond; a half-built table would give wrong values.
         spec = random_spec(rng, L_max=7, k_max=3)
-        draw = np.random.default_rng(11)
         tops = [min(spec.k**d - 1, 2**63 - 1) for d in range(digit_count(2**63 - 1, spec.k) + 1)]
-        calls = [np.append(draw.integers(0, top, size=15, endpoint=True), top) for top in tops]
-        want = [values_or_error(spec, idx) for idx in calls]
+        calls = [(top // 2, max(top // 2 // 15, 1), 16) for top in tops]
+        want = [values_or_error(spec, window) for window in calls]
 
         def work(shared, offset, got):
             for i in range(offset, len(calls)):
@@ -423,6 +444,93 @@ class TestCachedTables:
                     assert got[t:] == want[t:]
         finally:
             sys.setswitchinterval(interval)
+
+
+# Index sizes for windows past int64: near 2**64, up to 10**1000, and at
+# the command line's cap of 4,300 decimal digits.
+BIG_INDICES = st.one_of(st.integers(0, 2**70), st.integers(0, 10**1000),
+                        st.integers(10**4299, 10**4300 - 1))
+
+
+@st.composite
+def distinct_column_specs(draw, k_max=7):
+    """A periodic spec, L up to 2**57, whose y0 + p columns are pairwise
+    distinct, so a table built from the wrong columns or in the wrong
+    digit order gives wrong values."""
+    k = draw(st.integers(2, k_max))
+    L = draw(st.one_of(st.integers(2, 12), st.integers(2, 2**57)))
+    y0, p = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    cols = draw(st.lists(st.tuples(*[st.integers(0, L - 1)] * (k - 1)),
+                         min_size=y0 + p, max_size=y0 + p, unique=True))
+    return KappaSpec(L=L, k=k, preperiod=y0, period=p, table=tuple(zip(*cols)))
+
+
+class TestBigWindows:
+    """Windows of any size against ``a_of_n``, one index at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(distinct_column_specs(), BIG_INDICES, BIG_INDICES, st.integers(0, 4))
+    def test_matches_a_of_n(self, spec, start, stride, count):
+        stride += 1
+        got = a_values(spec, start, stride, count)
+        assert got.dtype == np.int64 and got.shape == (count,)
+        assert got.tolist() == [a_of_n(spec, start + n * stride) for n in range(count)]
+        # The tables are kept by canonical column: at most y0 + p of them.
+        assert len(spec.__dict__["_chunk_tables"]) <= sum(spec.normal_form)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_finite_window_raises_where_a_of_n_does(self, data):
+        # The largest index has about as many digits as the window, which
+        # may pass 2**63.
+        k, window = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 70))
+        L = data.draw(st.integers(2, 2**57))
+        table = tuple(tuple(data.draw(st.lists(st.integers(0, L - 1), min_size=window,
+                                               max_size=window)))
+                      for _ in range(k - 1))
+        spec = KappaSpec(L=L, k=k, preperiod=0, period=None, table=table, window=window)
+        digits = data.draw(st.integers(max(window - 2, 0), window + 2))
+        count = data.draw(st.integers(1, 12))
+        start, stride, count = data.draw(windows_ending_at(k**digits - 1, count))
+        try:
+            want = [a_of_n(spec, start + n * stride) for n in range(count)]
+        except WindowExceededError:
+            with pytest.raises(WindowExceededError):
+                a_values(spec, start, stride, count)
+        else:
+            assert a_values(spec, start, stride, count).tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(distinct_column_specs(), st.lists(st.tuples(st.integers(0, 2**40),
+                                                       st.integers(1, 2**20)), max_size=6),
+           st.integers(0, 30))
+    def test_rows_match_one_call_per_window(self, spec, windows, count):
+        starts, strides = [w[0] for w in windows], [w[1] for w in windows]
+        got = a_values(spec, np.array(starts, dtype=np.int64), strides, count)
+        assert got.shape == (len(windows), count)
+        for row, (start, stride) in zip(got.tolist(), windows):
+            assert row == a_values(spec, start, stride, count).tolist()
+
+    @pytest.mark.parametrize("L", [2**57, 2**57 - 1], ids=["L2**57", "L2**57-1"])
+    @pytest.mark.parametrize("k", [2, 100], ids=["k2-c12", "k100-c1"])
+    def test_no_wraparound_past_63_limbs(self, k, L):
+        # Every letter is L - 1: 200 digits of k - 1 sum to 200 * (L - 1),
+        # past 2**63, and for k = 100 one limb is one digit, so the sum spans
+        # four reductions of 63 limbs.  A sum wrapped mod 2**64 keeps its
+        # residue mod 2**57, but not mod the odd 2**57 - 1.
+        spec = KappaSpec(L=L, k=k, preperiod=0, period=1, table=((L - 1,),) * (k - 1))
+        n = k**200 - 1
+        got = a_values(spec, n, k**199, 2).tolist()
+        assert got == [200 * (L - 1) % L, a_of_n(spec, n + k**199)]
+        assert a_of_n(spec, n) == 200 * (L - 1) % L
+
+    def test_tables_bounded_after_huge_read(self):
+        # y0 + p = 5 distinct column streams; a read at about 10**4000
+        # spans 1,108 limbs of 12 binary digits.
+        spec = KappaSpec(L=7, k=2, preperiod=2, period=3, table=((1, 2, 3, 4, 5),))
+        N = 10**4000 + 12345
+        assert a_values(spec, N, 3, 4).tolist() == [a_of_n(spec, N + 3 * n) for n in range(4)]
+        assert 0 < len(spec.__dict__["_chunk_tables"]) <= 5
 
 
 class TestEquallySpaced:
@@ -459,7 +567,7 @@ class TestFiniteWindow:
         with pytest.raises(WindowExceededError):
             a_of_n(spec, 2**4)
         with pytest.raises(WindowExceededError):
-            a_values(spec, np.arange(20))
+            a_values(spec, 0, 1, 20)
         with pytest.raises(WindowExceededError):
             spec.kappa(1, 4)
 
@@ -588,7 +696,7 @@ class TestModulusBound:
         L = 2**57
         spec = KappaSpec(L=L, k=2, preperiod=0, period=1, table=((L - 1,),))
         n = 2**63 - 1
-        assert int(a_values(spec, [n])[0]) == a_of_n(spec, n) == (63 * (L - 1)) % L
+        assert int(a_values(spec, n, 1, 1)[0]) == a_of_n(spec, n) == (63 * (L - 1)) % L
         assert generate_prefix_morphic(spec, 3).tolist() == [a_of_n(spec, i) for i in range(8)]
 
     @pytest.mark.parametrize("m, values", [
