@@ -1,29 +1,26 @@
-"""k-kernel computation as a DFAO closure.
+"""k-kernel and subsequence automata as one DFAO closure.
 
-Every kernel subsequence a(k**e * n + j) decomposes, by disjoint digit
-support, into a column shift plus a constant:
+A subsequence b(n) = a(N + l*n) is read, low digit first, by the DFAO
+of ``subsequence_kernel``, whose states are (shift, carry, offset)
+triples; shifts are ``canonical_column`` representatives in [0, y0 + p)
+of the spec's normal form (minimal preperiod y0 and period p).
 
-    a(k**e * n + j) = a_shift_e(n) + a(j)  (mod L),
-
-where a_shift_e sums kappa(s, w + e) over the expansion terms (s, w) of
-n.  States are therefore (shift, offset) pairs; reading a low-order
-digit j refines (e, c) to (e + 1, c + kappa(j, e)) with kappa(0, .) = 0.
-For an eventually periodic spec the shift canonicalizes into
-[0, y0 + p) of the spec's normal form (minimal preperiod y0 and period
-p), so the closure is finite with at most (y0 + p) * L states.
-
-The closure is already the minimal DFAO.  Two distinct states (c, o)
-and (c', o') differ at n = 0 if o != o'; otherwise c != c', their
-column streams differ at some w < y0 + p (see ``canonical_column``),
-and the states differ at n = s * k**w for an s with kappa(s, w + c) !=
-kappa(s, w + c').  Digits are read least significant first and a
-trailing 0 digit never changes the output, so Moore equivalence is
-equality of the functions, and a complete closure has exactly as many
-states as the k-kernel has elements.
+The k-kernel is the closure at (N, l) = (0, 1), ``kernel_explore``,
+where every carry is 0: by disjoint digit support a(k**e * n + j) =
+a_shift_e(n) + a(j) (mod L), so its at most (y0 + p) * L states are
+(shift, 0, offset), and it is already the minimal DFAO.  Two distinct
+states (c, o) and (c', o') differ at n = 0 if o != o'; otherwise c !=
+c', their column streams differ at some w < y0 + p (see
+``canonical_column``), and the states differ at n = s * k**w for an s
+with kappa(s, w + c) != kappa(s, w + c').  Digits are read least
+significant first and a trailing 0 digit never changes the output, so
+Moore equivalence is equality of the functions, and a complete closure
+has exactly as many states as the k-kernel has elements.  Minimality
+is claimed at (0, 1) only.
 
 ``kernel_brute_force`` is an independent lower-bound oracle: it groups
 equal subsequences up to a horizon from digit-route values alone and
-never reads the (shift, offset) states.
+never reads the closure's states.
 """
 
 from __future__ import annotations
@@ -36,36 +33,41 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WindowExceededError
-from .kappa import KappaSpec, _letter_sum, a_values, check_budget, word_budget
+from .kappa import KappaSpec, _letter_sum, _shifted_sum, a_values, check_budget, word_budget
 
 __all__ = [
     "KernelState",
     "KernelResult",
+    "subsequence_kernel",
     "kernel_explore",
     "kernel_brute_force",
 ]
 
-# Resident words per kernel_brute_force member and kernel_explore state (their docstrings).
+# Resident words per kernel_brute_force member, and per subsequence_kernel
+# state, key with a carry and run of its move (their docstrings).
 _MEMBER_WORDS = 17
 _STATE_WORDS = 40
+_KEY_WORDS = 64
+_RUN_WORDS = 20
 
 
 class KernelState(NamedTuple):
-    """Denotes the function n -> a_shift(n) + offset mod L."""
+    """Denotes the function n -> offset + a_shift(carry + l*n) mod L for the closure's l."""
 
     shift: int
     offset: int
+    carry: int = 0
 
 
 @dataclass(frozen=True)
 class KernelResult:
     """Kernel closure: states, per-digit transitions, and the output map.
 
-    ``outputs[i]`` is the state's value at remaining index 0, which is
-    just its offset.  When ``complete``, ``len`` is the exact k-kernel
-    size (the closure is minimal).  ``complete`` is False when
-    exploration stopped at max_states or at a finite window; that is
-    evidence, never proof, of non-automaticity.
+    ``outputs[i]`` is the state's value at remaining index 0, its offset
+    plus a_shift(carry).  When ``complete`` at (N, l) = (0, 1), ``len`` is
+    the exact k-kernel size (the closure is minimal).  ``complete`` is
+    False when exploration stopped at max_states or at a finite window;
+    that is evidence, never proof, of non-automaticity.
     """
 
     states: tuple[KernelState, ...]
@@ -77,54 +79,89 @@ class KernelResult:
         return len(self.states)
 
 
-def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
-    """Close the kernel under the k digit-refinement maps from (0, 0).
+def subsequence_kernel(spec: KappaSpec, N: int, l: int, max_states: int = 4096) -> KernelResult:
+    """Close b(n) = a(N + l*n) under the k digit-reading maps.
 
-    Shifts are kept as ``spec.canonical_column`` representatives, so two
-    states denote the same function exactly when they are equal.  The
-    closure stops, incomplete, when a row's new states would pass
-    ``max_states`` or a state's column lies past a finite window.  It
-    then drops that row with the states it added, so every state but the
-    root is the target of a recorded transition.  A ``max_states`` below
-    1 is a ValueError.
+    State (c, r, o) denotes n -> o + a_c(r + l*n) mod L, where a_c sums
+    kappa(s, w + c) over the terms s * k**w of its argument.  Reading
+    digit j of n, it goes to (canonical_column(c + 1), v // k, o +
+    kappa(v mod k, c)), v = r + l*j, kappa(0, .) = 0, as r + l*(j + k*n)
+    = v mod k + k * (v // k + l*n).  The root is (canonical_column(0), N,
+    0); a state's output, its value at n = 0, is o + a_c(r), computed
+    once per (c, r) key.  The closure is minimal at (0, 1) only (module
+    docstring); elsewhere no state is merged.
 
-    Each state is charged ``_STATE_WORDS`` + k = 40 + k words; a closure
-    past ``word_budget()`` fails ``check_budget``.  Closures stopped by the
-    default budget or complete just below it peaked at 0.78-0.95 of those
-    words (VmHWM above the import, k = 2..50, 88k-190k states).
+    At most (len_k(N) + y0 + p) * (l + 1) * L states arise, with len_k(N)
+    = ``_numeral_length(N, k)`` (y0 + p = window + 1 for a finite window).
+    By induction on d, the state reached by the d digits of m < k**d has
+    column canonical_column(d) and carry floor((N + l*m) / k**d), in
+    [floor(N / k**d), floor(N / k**d) + l]: l + 1 carries and L offsets.
+    That bounds each of the len_k(N) depths below len_k(N); from there on
+    the carry lies in [0, l] and the column among y0 + p representatives.
+
+    The closure stops, incomplete, when a row's new states would pass
+    ``max_states`` or a state's column lies past a finite window.  It then
+    drops that row with the states it added, so every state but the root
+    is the target of a recorded transition.  At (0, 1) no output reads a
+    column; elsewhere an output that needs a column past a finite window
+    raises WindowExceededError.  N < 0, l < 1 and a ``max_states`` below
+    1 are ValueErrors.
+
+    Each state is charged ``_STATE_WORDS`` + k = 40 + k words, each key
+    (c, r) with r > 0 ``_KEY_WORDS`` = 64 plus bits(r) // 60 (an int holds
+    30 bits per 4 bytes), and its move 2k plus ``_RUN_WORDS`` = 20 per run
+    of digits; a closure past ``word_budget()`` fails ``check_budget``.
+    Closures stopped by the default budget or complete just below it
+    peaked at 0.78-0.95 of those words at (0, 1) (VmHWM above the import,
+    k = 2..50, 88k-190k states), and at 0.35-0.92 with carries (k =
+    2..50, N = 10**100 and 10**4000, l up to 10**30).
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    L = spec.L
-    root = spec.canonical_column(0)
-    states = [KernelState(shift=root, offset=0)]
-    index = {root: {0: 0}}  # {shift: {offset: state index}}
-    moves: dict[int, tuple[tuple[int, ...], int, dict[int, int]]] = {}
+    if N < 0 or l < 1:
+        raise ValueError(f"need N >= 0 and l >= 1, got N={N}, l={l}")
+    k, L = spec.k, spec.L
+    root = spec.canonical_column(0), N
+    states = [KernelState(root[0], 0, N)]
+    index = {root: (root, {0: 0})}  # {(shift, carry): (that key, {offset: state index})}
+    moves: dict[tuple[int, int], list] = {}  # {(shift, carry): [(child key, its dict, steps)]}
     transitions: list[tuple[int, ...]] = []
     complete = True
-    state_words = _STATE_WORDS + spec.k
-    admitted = word_budget() // state_words
-    for shift, offset in states:  # grows while iterated, so the order is breadth-first
-        move = moves.get(shift)
+    state_words, budget = _STATE_WORDS + k, word_budget()
+    charged = _KEY_WORDS + N.bit_length() // 60 if N else 0  # keys with a carry, their moves
+    admitted = (budget - charged) // state_words
+    for shift, offset, carry in states:  # grows while iterated, so the order is breadth-first
+        move = moves.get((shift, carry))
         if move is None:
             try:
-                steps = (0,) + spec.column(shift)
+                column = (0,) + spec.column(shift)
             except WindowExceededError:
                 # Finite-window spec ran out of columns: inconclusive.
                 complete = False
                 break
             child_shift = spec.canonical_column(shift + 1)
-            move = moves[shift] = (steps, child_shift, index.setdefault(child_shift, {}))
-        steps, child_shift, children = move
+            move = moves[shift, carry] = []
+            j = 0  # digit j reads v = carry + l*j: child carry v // k, step kappa(v % k, shift)
+            while j < k:  # v // k never decreases in j; the run of digits sharing it steps by l
+                child_carry, digit = divmod(carry + l * j, k)
+                key, steps = (child_shift, child_carry), column[digit::l][: k - j]
+                if child_carry and key not in index:
+                    charged += _KEY_WORDS + child_carry.bit_length() // 60
+                move.append(index.setdefault(key, (key, {})) + (steps,))
+                j += len(steps)
+            if carry:
+                charged += 2 * k + _RUN_WORDS * len(move)
+            admitted = (budget - charged) // state_words
         finished = len(states)
         row = []
-        for step in steps:
-            child = (offset + step) % L
-            child_idx = children.get(child)
-            if child_idx is None:
-                child_idx = children[child] = len(states)
-                states.append(KernelState(shift=child_shift, offset=child))
-            row.append(child_idx)
+        for (child_shift, child_carry), children, steps in move:
+            for step in steps:
+                child = (offset + step) % L
+                child_idx = children.get(child)
+                if child_idx is None:
+                    child_idx = children[child] = len(states)
+                    states.append(KernelState(child_shift, child, child_carry))
+                row.append(child_idx)
         if len(states) > max(finished, max_states):
             # The row added states past the cap (a row that adds none never
             # stops the closure): drop them with the row.
@@ -132,14 +169,26 @@ def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
             complete = False
             break
         if len(states) > admitted:
-            check_budget(len(states) * state_words)
+            check_budget(len(states) * state_words + charged)
         transitions.append(tuple(row))
+    outputs = [s.offset for s in states]
+    for (shift, carry), children in index.values():
+        kept = [(offset, i) for offset, i in children.items() if i < len(states)] if carry else ()
+        if kept:
+            head = _shifted_sum(spec, carry, shift)
+            for offset, i in kept:
+                outputs[i] = (offset + head) % L
     return KernelResult(
         states=tuple(states),
         transitions=tuple(transitions),
-        outputs=tuple(s.offset for s in states),
+        outputs=tuple(outputs),
         complete=complete,
     )
+
+
+def kernel_explore(spec: KappaSpec, max_states: int = 4096) -> KernelResult:
+    """The k-kernel of a: the minimal DFAO, ``subsequence_kernel`` at (N, l) = (0, 1)."""
+    return subsequence_kernel(spec, 0, 1, max_states)
 
 
 def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:

@@ -45,11 +45,6 @@ class DigitExpansion:
     def value(self) -> int:
         return sum(s * self.base**w for s, w in self.terms)
 
-    @property
-    def length(self) -> int:
-        """Numeral length: the least m with base**m > value, 0 for zero."""
-        return self.terms[-1][1] + 1 if self.terms else 0
-
 
 @dataclass(frozen=True)
 class GapMultipleResult:

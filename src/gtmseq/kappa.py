@@ -272,9 +272,16 @@ def _digit_words(base: int) -> int:
     return -(-base.bit_length() // 64)
 
 
+def _shifted_sum(spec: KappaSpec, n: int, shift: int) -> int:
+    """a_shift(n): the sum of kappa(s, y + shift) over the terms s * k**y of
+    n's base-k expansion, mod L.  A zero digit reads no column."""
+    terms = enumerate(_digits(n, spec.k), shift)  # (position + shift, digit)
+    return sum(spec.column(y)[s - 1] for y, s in terms if s) % spec.L
+
+
 def a_of_n(spec: KappaSpec, n: int) -> int:
     """a(n): the sum of kappa(s, y) over the terms s * k**y of n's base-k expansion, mod L."""
-    return sum(spec.column(y)[s - 1] for y, s in enumerate(_digits(n, spec.k)) if s) % spec.L
+    return _shifted_sum(spec, n, 0)
 
 
 def _chunk_table(spec: KappaSpec, y: int) -> np.ndarray:

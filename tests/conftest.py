@@ -11,8 +11,8 @@ import gtmseq
 from gtmseq import KappaSpec, KernelResult, KernelState, PeriodicityVerdict
 from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import WindowExceededError
-from gtmseq.expansion import expand
-from gtmseq.kappa import check_budget, equally_spaced, generate_prefix_morphic, word_budget
+from gtmseq.kappa import (_numeral_length, check_budget, equally_spaced, generate_prefix_morphic,
+                          word_budget)
 from gtmseq.periodicity import NON_PERIODIC, PERIODIC
 
 # Appended to a child's code: prints its peak resident set in KiB.  On
@@ -257,7 +257,7 @@ def gen_line_literal(spec, mode, N, l, count):
     if mode != "morphic":
         words.append(list(equally_spaced(spec, N, l, count).values))
     indices = [N + n * l for n in range(count)]
-    m = expand(max(indices, default=0), spec.k).length
+    m = _numeral_length(max(indices, default=0), spec.k)
     word = generate_prefix_morphic(spec, m).tolist()
     words.append([word[i] for i in indices])
     line = ("" if max(words[0], default=0) < 10 else " ").join(map(str, words[0]))

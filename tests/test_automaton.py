@@ -12,9 +12,11 @@ from gtmseq import (
     kernel_brute_force,
     kernel_explore,
     parse_spec,
+    subsequence_kernel,
 )
 from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import BudgetExceededError, WindowExceededError
+from gtmseq.kappa import _numeral_length
 from conftest import (
     alternating_spec,
     kernel_explore_literal,
@@ -261,6 +263,100 @@ class TestMinimality:
             assert len(set(values)) == len(values)
             separated += len(values) * (len(values) - 1) // 2
         assert separated > 0
+
+
+def run_digits(result, k, n):
+    """The state the DFAO reaches from state 0 on the base-k digits of n, low first."""
+    state = 0
+    while n:
+        n, d = divmod(n, k)
+        state = result.transitions[state][d]
+    return state
+
+
+@st.composite
+def subsequence_cases(draw):
+    """(spec, N, l): a periodic spec with k <= 4 and L <= 4, N up to 10**100, l <= 12."""
+    L, k = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    y0, p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, L - 1), min_size=y0 + p, max_size=y0 + p)
+    spec = KappaSpec(L=L, k=k, preperiod=y0, period=p,
+                     table=tuple(tuple(draw(row)) for _ in range(k - 1)))
+    N = draw(st.one_of(st.integers(0, 40), st.integers(0, 10**100)))
+    return spec, N, draw(st.integers(1, 12))
+
+
+class TestSubsequenceKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(subsequence_cases(), st.lists(st.integers(0, 10**12), max_size=6))
+    def test_outputs_match_a_of_n_within_bound(self, case, ns):
+        # the state bound (len_k(N) + y0 + p) * (l + 1) * L of the docstring
+        spec, N, l = case
+        result = subsequence_kernel(spec, N, l, 10**6)
+        y0, p = spec.normal_form
+        assert result.complete
+        assert len(result) <= (_numeral_length(N, spec.k) + y0 + p) * (l + 1) * spec.L
+        for n in [0, 1, spec.k, 2 * spec.k + 1] + ns:
+            assert result.outputs[run_digits(result, spec.k, n)] == a_of_n(spec, N + l * n)
+
+    @pytest.mark.parametrize("N, l, max_states, message", [
+        (-1, 1, 4096, "^need N >= 0 and l >= 1, got N=-1, l=1$"),
+        (0, 0, 4096, "^need N >= 0 and l >= 1, got N=0, l=0$"),
+        (5, 3, 0, "^max_states must be >= 1, got 0$"),
+    ])
+    def test_arguments_rejected(self, tm, N, l, max_states, message):
+        with pytest.raises(ValueError, match=message):
+            subsequence_kernel(tm, N, l, max_states)
+
+    @pytest.mark.parametrize("max_states", [1, 2, 5, 17, 40])
+    def test_max_states_drops_unfinished_row(self, max_states):
+        spec = KappaSpec(L=3, k=3, preperiod=1, period=2, table=((1, 2, 0), (2, 0, 1)))
+        result = subsequence_kernel(spec, 10**20 + 7, 5, max_states)
+        assert not result.complete
+        assert 1 <= len(result) <= max_states
+        assert len(result.transitions) < len(result)
+        targets = {child for row in result.transitions for child in row}
+        assert targets == set(range(1, len(result.states)))
+        for state, output in zip(result.states, result.outputs):
+            assert (output,) == state_denotation(spec, state, [state.carry])
+
+    def test_finite_window_outputs(self):
+        # window 3: a(n) is defined for n < 8.  At (0, 1) every output is an
+        # offset and the closure stops, incomplete, at column 3; at (N, l) =
+        # (1, 1) the states of column 3 with carry 1 stand for a(8 + ...),
+        # past the window, and their outputs raise.
+        spec = KappaSpec(L=2, k=2, preperiod=0, period=None, table=((1, 0, 1),), window=3)
+        assert not subsequence_kernel(spec, 0, 1).complete
+        with pytest.raises(WindowExceededError):
+            subsequence_kernel(spec, 1, 1)
+        # stopped by max_states after the root's row, long before column 3
+        partial = subsequence_kernel(spec, 1, 1, max_states=3)
+        assert not partial.complete
+        for n in range(2):
+            assert partial.outputs[run_digits(partial, 2, n)] == a_of_n(spec, 1 + n)
+
+    @pytest.mark.parametrize("k, l", [(2, 10**9), (16, 16**3 + 1)])
+    def test_carry_states_peak_memory_within_budget(self, k, l):
+        # At N = 10**100 with L = 2 a key (shift, carry) holds at most two
+        # states: with l = 10**9 nearly every state has a key and a big carry
+        # of its own, and with l = 16**3 + 1 every depth past the third holds
+        # 4,098 carries whose moves have a run per digit.  The budget, charged
+        # for keys and moves beside states, stops the closure within the
+        # charged words.
+        budget = 4_000_000
+        code = (
+            "from gtmseq import KappaSpec, subsequence_kernel\n"
+            "from gtmseq.errors import BudgetExceededError\n"
+            f"spec = KappaSpec(L=2, k={k}, preperiod=0, period=1, table=((1,),) * {k - 1})\n"
+            "try:\n"
+            f"    subsequence_kernel(spec, 10**100, {l}, 2**62)\n"
+            "except BudgetExceededError:\n"
+            "    print('refused')\n"
+        )
+        _, import_mb = run_child("import gtmseq\n")
+        (outcome,), peak_mb = run_child(code, GTMSEQ_BUDGET=str(budget))
+        assert outcome == "refused"
+        assert peak_mb - import_mb <= budget * 8 / 2**20
 
 
 class TestKernelBruteForce:

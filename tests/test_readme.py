@@ -19,6 +19,7 @@ from gtmseq.cli import _EPILOG, main
 from gtmseq.expansion import expand
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
 SPECS = str(resources.files("gtmseq") / "specs")
 
 
@@ -81,6 +82,17 @@ def test_library_tour_gives_commented_values():
         assert eval(code, namespace) == commented_value(comment), code
         checked += 1
     assert checked >= 4
+
+
+def test_ci_expects_every_readme_example():
+    """CI's installed-console-script step runs the README lines that start with
+    ``gtmseq `` (``grep -E '^gtmseq '``) and checks their count against a literal."""
+    step = WORKFLOW.read_text(encoding="utf-8")
+    expected = re.findall(r'test "\$\(wc -l < readme-examples\.sh\)" -eq (\d+)', step)
+    lines = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("gtmseq ")]
+    assert len(expected) == 1
+    assert len(lines) == int(expected[0]) == len(COMMANDS)
 
 
 def test_every_subcommand_has_an_example():
