@@ -93,11 +93,13 @@ def eval_cf(spec: KappaSpec, N: int, l: int, depth: int) -> ConvergentList:
     p_prev, q_prev = 1, 0
     p, q = quotients[0], 1  # p_0 = a_0 = 0, q_0 = 1
     convergents = [(p, q)]
+    append = convergents.append
     sign = -1  # the determinant (-1)^(n+1) at n = 0
-    for i, a in enumerate(quotients[1:], start=1):
+    for a in quotients[1:]:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-        convergents.append((p, q))
+        append((p, q))
         sign = -sign
-        assert p * q_prev - p_prev * q == sign, f"determinant identity broken at n={i}"
+        assert p * q_prev - p_prev * q == sign, (
+            f"determinant identity broken at n={len(convergents) - 1}")
     return ConvergentList(quotients=tuple(quotients), convergents=tuple(convergents))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WindowExceededError
-from .kappa import KappaSpec, _letter_sum, _shifted_sum, a_values, check_budget, word_budget
+from .kappa import KappaSpec, _letter_sum, a_values, check_budget, word_budget
 
 __all__ = [
     "KernelState",
@@ -88,8 +88,10 @@ def subsequence_kernel(spec: KappaSpec, N: int, l: int, max_states: int = 4096) 
     kappa(v mod k, c)), v = r + l*j, kappa(0, .) = 0, as r + l*(j + k*n)
     = v mod k + k * (v // k + l*n).  The root is (canonical_column(0), N,
     0); a state's output, its value at n = 0, is o + a_c(r), computed
-    once per (c, r) key.  The closure is minimal at (0, 1) only (module
-    docstring); elsewhere no state is merged.
+    once per (c, r) key, after its digit-0 child key: a_c(r) = kappa(r
+    mod k, c) + a_c'(r // k), c' = canonical_column(c + 1), a_c(0) = 0.
+    The closure is minimal at (0, 1) only (module docstring); elsewhere
+    no state is merged.
 
     At most (len_k(N) + y0 + p) * (l + 1) * L states arise, with len_k(N)
     = ``_numeral_length(N, k)`` (y0 + p = window + 1 for a finite window).
@@ -172,12 +174,23 @@ def subsequence_kernel(spec: KappaSpec, N: int, l: int, max_states: int = 4096) 
             check_budget(len(states) * state_words + charged)
         transitions.append(tuple(row))
     outputs = [s.offset for s in states]
-    for (shift, carry), children in index.values():
-        kept = [(offset, i) for offset, i in children.items() if i < len(states)] if carry else ()
-        if kept:
-            head = _shifted_sum(spec, carry, shift)
-            for offset, i in kept:
-                outputs[i] = (offset + head) % L
+    heads: dict[tuple[int, int], int] = {}  # {(shift, carry): a_shift(carry)}
+    for key, children in index.values():
+        kept = [(offset, i) for offset, i in children.items() if i < len(states)] if key[1] else ()
+        if not kept:
+            continue
+        chain = []  # the keys down to one already summed, their columns read low first
+        while key[1] and key not in heads:
+            shift, carry = key
+            carry, digit = divmod(carry, k)
+            chain.append((key, spec.column(shift)[digit - 1] if digit else 0))
+            child = spec.canonical_column(shift + 1), carry
+            key = index.get(child, (child,))[0]  # the index's own key: no carry is copied
+        head = heads.get(key, 0)
+        for key, step in reversed(chain):
+            head = heads[key] = (head + step) % L
+        for offset, i in kept:
+            outputs[i] = (offset + head) % L
     return KernelResult(
         states=tuple(states),
         transitions=tuple(transitions),

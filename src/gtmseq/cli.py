@@ -190,6 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser = functools.cache(build_parser)  # one per process: parsing leaves it unchanged
+# One per process too; every report is a fresh tree, so no cycle check.
+_encoder = json.JSONEncoder(sort_keys=True, separators=(", ", ": "), check_circular=False)
 
 
 def main(argv=None) -> int:
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
                           if key not in ("command", "func", "json")}
             report = {"command": args.command, "parameters": parameters,
                       "result": result, "version": __version__}
-            result = json.dumps(report, sort_keys=True, separators=(", ", ": "))
+            result = _encoder.encode(report)
         print(result, flush=True)
     except (GtmseqError, ValueError, OverflowError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):

@@ -99,8 +99,17 @@ def classify(spec: KappaSpec) -> PeriodicityVerdict:
 
     Finite-window specs cannot be decided (the criterion quantifies over
     all y); they yield UnknownUpToBound with the window as bound, and no
-    column is read.
+    column is read.  The verdict is kept on the spec, as
+    ``kappa._chunk_table`` keeps its tables, so it is decided once per spec.
     """
+    verdict = spec.__dict__.get("_verdict")
+    if verdict is None:
+        verdict = spec.__dict__["_verdict"] = _decide(spec)
+    return verdict
+
+
+def _decide(spec: KappaSpec) -> PeriodicityVerdict:
+    """``classify``'s verdict, worked out afresh."""
     if spec.is_finite_window:
         return PeriodicityVerdict(status=UNKNOWN, bound=spec.window)
     L, k = spec.L, spec.k

@@ -21,9 +21,10 @@ raw bytes once, skipping the pathlib and text-mode set-up that costs
 more than parsing a small spec; ``splitlines`` handles CR and CRLF.
 It reads the file on every call, but returns one ``KappaSpec`` object
 per text among the last 8 texts parsed, so the work cached on a spec
-(``normal_form``, the chunk tables of ``kappa.a_values``, at most
-y0 + p tables of max(k, 4096) int64 entries) is done once for all the
-calls that read one file.  A file that fails to parse raises on every call.
+(``normal_form``, the ``classify`` verdict, the chunk tables of
+``kappa.a_values``, at most y0 + p tables of max(k, 4096) int64
+entries) is done once for all the calls that read one file.  A file
+that fails to parse raises on every call.
 """
 
 from __future__ import annotations

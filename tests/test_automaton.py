@@ -1,3 +1,4 @@
+import time
 from importlib import resources
 
 import numpy as np
@@ -16,7 +17,7 @@ from gtmseq import (
 )
 from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import BudgetExceededError, WindowExceededError
-from gtmseq.kappa import _numeral_length
+from gtmseq.kappa import _numeral_length, _shifted_sum
 from conftest import (
     alternating_spec,
     kernel_explore_literal,
@@ -334,6 +335,18 @@ class TestSubsequenceKernel:
         assert not partial.complete
         for n in range(2):
             assert partial.outputs[run_digits(partial, 2, n)] == a_of_n(spec, 1 + n)
+
+    def test_outputs_linear_in_numeral_length(self, rng):
+        # Each key's output is read after its digit-0 child's, so the
+        # thousands of big carries of N = 10**1000 sum their digits once.
+        spec = KappaSpec(L=7, k=2, preperiod=0, period=1, table=((1,),))
+        started = time.process_time()
+        result = subsequence_kernel(spec, 10**1000, 3, 10**6)
+        assert time.process_time() - started < 3
+        assert result.complete and len(result) == 85_901
+        for i in rng.sample(range(len(result)), 200):
+            shift, offset, carry = result.states[i]
+            assert result.outputs[i] == (offset + _shifted_sum(spec, carry, shift)) % spec.L
 
     @pytest.mark.parametrize("k, l", [(2, 10**9), (16, 16**3 + 1)])
     def test_carry_states_peak_memory_within_budget(self, k, l):

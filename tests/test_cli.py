@@ -109,6 +109,33 @@ class TestReport:
         assert report["parameters"] == parameters
         assert report["version"] == __version__
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", TM, "--count", "9", "--json"),
+        ("classify", PERIODIC),
+        ("kernel", ALTERNATING),
+        ("stammer", TM, "1", "2", "5"),
+        ("eval", TM, "2", "3", "--beta", "5", "--digits", "6"),
+        ("cf", TM, "0", "1", "--depth", "30"),
+        ("gap", "6", "10", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_canonical_encoding(self, capsys, argv):
+        # main's one encoder prints what json.dumps prints, sorted keys and all
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(", ", ": ")) + "\n"
+
+    def test_non_ascii_path_escaped(self, tmp_path, capsys):
+        try:
+            os.fsencode("\u00e9")
+        except UnicodeEncodeError:
+            pytest.skip("the filesystem encoding cannot name the file (C locale)")
+        path = tmp_path / "caf\u00e9.spec"
+        path.write_bytes(Path(TM).read_bytes())
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        assert out.isascii() and "caf\\u00e9.spec" in out
+        assert json.loads(out)["parameters"]["specfile"] == str(path)
+
 
 class TestExactAnswers:
     """Answers beyond Python's 4300-digit int <-> str cap print whole."""

@@ -1,11 +1,21 @@
 import itertools
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gtmseq import BudgetExceededError, KappaSpec, a_values, periodicity
+from gtmseq import (
+    BudgetExceededError,
+    KappaSpec,
+    PeriodicSpecError,
+    a_values,
+    build_witness,
+    periodic_series_value,
+    periodicity,
+)
+from gtmseq.cli import main
 from gtmseq.periodicity import (
     NON_PERIODIC,
     PERIODIC,
@@ -190,6 +200,59 @@ class TestClassify:
         verdict = classify(spec)
         assert (verdict.status, verdict.shift) == (PERIODIC, y0)
         assert len(reads) <= 2 * (y0 + 2 * p) + spec.preperiod + spec.period
+
+
+class TestVerdictKept:
+    """classify decides once per spec object, for every reader of the verdict."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        specs = []
+        decide = periodicity._decide
+
+        def counting(spec):
+            specs.append(spec)
+            return decide(spec)
+
+        monkeypatch.setattr(periodicity, "_decide", counting)
+        return specs
+
+    @pytest.mark.parametrize("make", [alternating_spec, lambda: constant_spec(2, 3, (1, 0))],
+                             ids=["NonPeriodic", "Periodic"])
+    def test_one_decision_for_every_reader(self, decided, make):
+        spec = make()
+        if classify(spec).is_non_periodic:
+            assert build_witness(spec, 0, 1, 3).m == 3
+            with pytest.raises(ValueError, match="found the spec NonPeriodic"):
+                periodic_series_value(spec, 0, 1, 3)
+        else:
+            # the refusal reads the kept verdict
+            with pytest.raises(PeriodicSpecError, match="classify said Periodic"):
+                build_witness(spec, 0, 1, 6)
+            assert periodic_series_value(spec, 0, 1, 3) == Fraction(1, 8)  # 0, 1, 0, 1, ...
+        assert len(decided) == 1 and decided[0] is spec
+
+    def test_same_object_each_call(self, decided, tm):
+        assert classify(tm) is classify(tm)
+        assert decided == [tm]
+
+    def test_equal_specs_decided_apart(self, decided):
+        first, second = alternating_spec(), alternating_spec()
+        assert first == second and first is not second
+        assert classify(first) == classify(second) == classify(first)
+        assert len(decided) == 2
+        assert decided[0] is first and decided[1] is second
+
+    def test_cli_calls_share_one_decision(self, decided, tmp_path, capsys):
+        # parse_spec interns the spec by its text, so the verdict goes with it
+        path = tmp_path / "alternating.spec"
+        path.write_text(f"name = {tmp_path.name}\nL = 2\nk = 2\npreperiod = 0\n"
+                        "period = 2\nkappa =\n0 1\n")
+        assert main(["classify", str(path)]) == 0
+        assert main(["stammer", str(path), "0", "1", "4"]) == 0
+        assert main(["classify", str(path)]) == 0
+        assert len(decided) == 1
+        assert '"status": "NonPeriodic"' in capsys.readouterr().out
 
 
 class TestClassifyConstant:
