@@ -25,6 +25,7 @@ never reads the closure's states.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
@@ -107,7 +108,7 @@ def subsequence_kernel(spec: KappaSpec, N: int, l: int, max_states: int = 4096) 
     is the target of a recorded transition.  At (0, 1) no output reads a
     column; elsewhere an output that needs a column past a finite window
     raises WindowExceededError.  N < 0, l < 1 and a ``max_states`` below
-    1 are ValueErrors.
+    1 are ValueErrors; numpy integers are read as Python ints.
 
     Each state is charged ``_STATE_WORDS`` + k = 40 + k words, each key
     (c, r) with r > 0 ``_KEY_WORDS`` = 64 plus bits(r) // 60 (an int holds
@@ -118,6 +119,7 @@ def subsequence_kernel(spec: KappaSpec, N: int, l: int, max_states: int = 4096) 
     k = 2..50, 88k-190k states), and at 0.35-0.92 with carries (k =
     2..50, N = 10**100 and 10**4000, l up to 10**30).
     """
+    N, l, max_states = operator.index(N), operator.index(l), operator.index(max_states)
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     if N < 0 or l < 1:

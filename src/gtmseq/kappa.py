@@ -52,6 +52,7 @@ __all__ = [
 
 _DEFAULT_BUDGET = 8_000_000
 _SLAB = 2**14
+_INTEGERS = (int, np.integer)  # what a_values reads as a window's start and stride
 
 
 def word_budget() -> int:
@@ -272,16 +273,9 @@ def _digit_words(base: int) -> int:
     return -(-base.bit_length() // 64)
 
 
-def _shifted_sum(spec: KappaSpec, n: int, shift: int) -> int:
-    """a_shift(n): the sum of kappa(s, y + shift) over the terms s * k**y of
-    n's base-k expansion, mod L.  A zero digit reads no column."""
-    terms = enumerate(_digits(n, spec.k), shift)  # (position + shift, digit)
-    return sum(spec.column(y)[s - 1] for y, s in terms if s) % spec.L
-
-
 def a_of_n(spec: KappaSpec, n: int) -> int:
     """a(n): the sum of kappa(s, y) over the terms s * k**y of n's base-k expansion, mod L."""
-    return _shifted_sum(spec, n, 0)
+    return sum(spec.column(y)[s - 1] for y, s in enumerate(_digits(n, spec.k)) if s) % spec.L
 
 
 def _chunk_table(spec: KappaSpec, y: int) -> np.ndarray:
@@ -302,39 +296,40 @@ def _chunk_table(spec: KappaSpec, y: int) -> np.ndarray:
 
 
 def _window_end(start: int, stride: int, count: int) -> int:
-    """The last index start + (count - 1) * stride of a window (0 if empty), after its
-    checks: ValueError unless start, stride - 1 and count are >= 0, then the budget."""
+    """The last index start + (count - 1) * stride of a window (0 if empty), a Python int,
+    after its checks: ValueError unless start, stride - 1 and count are >= 0, then the budget."""
     if start < 0 or stride < 1 or count < 0:
         raise ValueError("need start >= 0, stride >= 1, count >= 0")
     check_budget(count)
-    return start + stride * (count - 1) if count else 0
+    return operator.index(start) + operator.index(stride) * (count - 1) if count else 0
 
 
 def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
     """a(start + n*stride) for n < count, as an int64 array.
 
-    ``start`` and ``stride`` are Python ints of any size, for one window of
-    ``count`` values charged to the budget, or sequences of ints, for one
-    row of ``count`` values per entry, which their caller budgets.  Raises
-    ValueError unless every start >= 0, every stride >= 1 and count >= 0,
-    or when an index of a row reaches 2**63, past int64.  A finite window
-    fails exactly when the largest index has more digits than it.
+    Integers ``start`` and ``stride`` (Python or numpy) give one window of
+    ``count`` values charged to the budget; sequences of ints of one length
+    give one row per entry, which their caller budgets.  ValueError for rows
+    of unequal lengths, a start < 0, a stride < 1, count < 0 or a row index
+    reaching 2**63; TypeError for an integer beside a sequence.  A finite
+    window fails exactly when the largest index has more digits than it.
     """
-    if isinstance(start, int) and isinstance(stride, int):
+    if isinstance(start, _INTEGERS) and isinstance(stride, _INTEGERS):
+        start, stride = operator.index(start), operator.index(stride)
         end, rows = _window_end(start, stride, count), 1
         # no index is read from an empty window, nor the stride of one value
         start, stride = start if count else 0, stride if count > 1 else 0
     else:
         # Rows are checked in Python ints, which cannot wrap around.
         starts, strides = (x.tolist() if isinstance(x, np.ndarray) else x for x in (start, stride))
+        if (rows := len(starts)) != len(strides):
+            raise ValueError(f"unequal rows: {rows} starts, {len(strides)} strides")
         if count < 0 or min(starts, default=0) < 0 or min(strides, default=1) < 1:
             raise ValueError("need start >= 0, stride >= 1, count >= 0")
-        last = [d * (count - 1) for d in strides] if count else []
-        end = max(map(operator.add, starts, last), default=0)
+        end = max((s + d * (count - 1) for s, d in zip(starts, strides) if count), default=0)
         if end >= 2**63:
             raise ValueError(f"index {end} reaches 2**63, beyond int64 indices")
-        start, stride = (np.asarray(x, dtype=np.int64)[:, None] for x in (start, stride))
-        rows = max(start.size, stride.size)
+        start, stride = (np.asarray(x, dtype=np.int64)[:, None] for x in (starts, strides))
     c, D = spec._chunk
     digits = max(_numeral_length(end, spec.k), 1)
     spec.column(digits - 1)  # a finite window fails here
@@ -382,5 +377,5 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
 
 def equally_spaced(spec: KappaSpec, start: int, stride: int, count: int) -> SequenceWindow:
     """Window of a(start + n*stride) for n = 0..count-1."""
-    vals = a_values(spec, start, stride, count)
-    return SequenceWindow(start=start, stride=stride, values=tuple(vals.tolist()))
+    start, stride = operator.index(start), operator.index(stride)
+    return SequenceWindow(start, stride, tuple(a_values(spec, start, stride, count).tolist()))

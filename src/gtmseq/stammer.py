@@ -13,6 +13,7 @@ witness is returned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -72,6 +73,7 @@ def min_legal_m(N: int, l: int, k: int) -> int:
 
 def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     """Construct a stammering witness for the subsequence a(N + n*l)."""
+    N, l = operator.index(N), operator.index(l)
     if N < 0 or l < 1:
         raise ValueError("need N >= 0 and l >= 1")
     verdict = classify(spec)

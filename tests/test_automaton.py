@@ -17,7 +17,7 @@ from gtmseq import (
 )
 from gtmseq.automaton import _STATE_WORDS
 from gtmseq.errors import BudgetExceededError, WindowExceededError
-from gtmseq.kappa import _numeral_length, _shifted_sum
+from gtmseq.kappa import _numeral_length
 from conftest import (
     alternating_spec,
     kernel_explore_literal,
@@ -346,7 +346,21 @@ class TestSubsequenceKernel:
         assert result.complete and len(result) == 85_901
         for i in rng.sample(range(len(result)), 200):
             shift, offset, carry = result.states[i]
-            assert result.outputs[i] == (offset + _shifted_sum(spec, carry, shift)) % spec.L
+            # a_shift(r) = a(r * k**shift): the factor moves each digit up shift places.
+            assert result.outputs[i] == (offset + a_of_n(spec, carry * spec.k**shift)) % spec.L
+
+    @pytest.mark.parametrize("N, l, max_states", [
+        (np.int64(3), np.int64(2), np.int64(10)),
+        (np.uint8(0), np.int32(1), 4096),
+        (10**30, np.int64(5), np.uint16(300)),
+        (np.uint64(2**63 + 5), np.uint64(3), np.int64(1000)),
+    ], ids=["int64", "root-uint8", "int-past-2**63", "uint64-past-2**63"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_arguments_read_as_ints(self, N, l, max_states):
+        spec = KappaSpec(L=3, k=2, preperiod=1, period=2, table=((2, 1, 0),))
+        got = subsequence_kernel(spec, N, l, max_states)
+        assert got == subsequence_kernel(spec, int(N), int(l), int(max_states))
+        assert {type(x) for state in got.states for x in state} == {int}
 
     @pytest.mark.parametrize("k, l", [(2, 10**9), (16, 16**3 + 1)])
     def test_carry_states_peak_memory_within_budget(self, k, l):

@@ -16,10 +16,14 @@ from gtmseq import (
     WindowExceededError,
     a_of_n,
     a_values,
+    build_witness,
     equally_spaced,
+    eval_cf,
+    eval_series,
     expand,
     generate_prefix_morphic,
     kernel_brute_force,
+    min_legal_m,
     periodic_series_value,
 )
 from gtmseq.kappa import _reduce_mod
@@ -531,6 +535,66 @@ class TestBigWindows:
         N = 10**4000 + 12345
         assert a_values(spec, N, 3, 4).tolist() == [a_of_n(spec, N + 3 * n) for n in range(4)]
         assert 0 < len(spec.__dict__["_chunk_tables"]) <= 5
+
+
+class TestInputForms:
+    """``a_values`` reads two integers as one window and two sequences of one
+    length as rows; numpy integers read as the Python ints they hold."""
+
+    @pytest.mark.parametrize("starts, strides", [
+        ([0], [1, 2**62]),  # the longer row would pass 2**63
+        ([3], [1, 2]),
+        (np.array([0, 1]), [1, 2, 3]),
+        ((), [1]),
+    ], ids=["past-2**63", "one-start", "array-start", "no-start"])
+    def test_unequal_rows_name_both_lengths(self, tm, starts, strides):
+        with pytest.raises(ValueError, match=f"{len(starts)} starts, {len(strides)} strides"):
+            a_values(tm, starts, strides, 3)
+
+    @pytest.mark.parametrize("start, stride", [
+        (5, [1, 2]), ([5], 1), (np.int64(5), [1]), ([0, 1], np.int64(2)),
+    ], ids=["int-list", "list-int", "np-list", "list-np"])
+    def test_integer_beside_sequence_is_type_error(self, start, stride):
+        spec = constant_spec(3, 2, (1,))  # a fresh spec: no table read yet
+        with pytest.raises(TypeError):
+            a_values(spec, start, stride, 3)
+        assert "_chunk_tables" not in spec.__dict__
+
+    @pytest.mark.parametrize("start, stride", [
+        (np.int64(5), np.int64(3)),
+        (np.uint8(0), 1),
+        (7, np.int32(2)),
+        (np.int64(2**63 - 1), np.int64(2**62)),
+        (np.uint64(2**63), np.uint64(3)),
+        (np.uint64(2**64 - 1), np.uint64(2**64 - 1)),
+    ], ids=["int64", "uint8-int", "int-int32", "int64-max", "uint64-2**63", "uint64-max"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_integer_windows_equal_int_windows(self, rng, start, stride):
+        spec = random_spec(rng, L_max=7, k_max=7)
+        want = [a_of_n(spec, int(start) + n * int(stride)) for n in range(20)]
+        assert a_values(spec, start, stride, 20).tolist() == want
+        assert a_values(spec, int(start), int(stride), 20).tolist() == want
+        win = equally_spaced(spec, start, stride, 20)
+        assert (type(win.start), type(win.stride)) == (int, int)
+        assert win == equally_spaced(spec, int(start), int(stride), 20)
+
+    @pytest.mark.parametrize("N, l", [
+        (np.int64(5), np.int64(3)),
+        (np.uint8(0), np.int32(7)),
+        (np.int64(2**63 - 1), np.int64(2**62)),
+        (np.uint64(2**63 + 5), np.uint64(3)),
+    ], ids=["int64", "uint8-int32", "int64-max", "uint64-past-2**63"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_N_and_l_answer_as_ints(self, tm, N, l):
+        ints = int(N), int(l)
+        assert equally_spaced(tm, N, l, 30) == equally_spaced(tm, *ints, 30)
+        assert eval_series(tm, N, l, 2, 20) == eval_series(tm, *ints, 2, 20)
+        assert eval_cf(tm, N, l, 30) == eval_cf(tm, *ints, 30)
+        if ints[0] < 2**40:  # past it the witness reads more values than the budget
+            m = min_legal_m(*ints, tm.k)
+            witness = build_witness(tm, N, l, m)
+            assert witness == build_witness(tm, *ints, m)
+            assert (type(witness.N), type(witness.l)) == (int, int)
 
 
 class TestEquallySpaced:
