@@ -23,8 +23,11 @@ the output and keep it in cache.  It shares no code with
 ``generate_prefix_morphic``, the independent oracle.
 
 A spec keeps its chunk tables by the canonical column they start at: at
-most y0 + p of them (ceil(window / c) for a finite window) of D int64
-entries, 32 KiB each for k <= 4096, however long the index.
+most y0 + p of them (ceil(window / c) for a finite window) of D entries,
+however long the index.  An entry is a letter below L, kept in the
+narrowest signed dtype that holds L - 1 (int8 up to L = 128, so 4 KiB a
+table for k <= 4096; int16, int32, then int64 from L = 2**31 + 1), and
+``a_values`` sums the letters in int64.
 """
 
 from __future__ import annotations
@@ -290,7 +293,10 @@ def _chunk_table(spec: KappaSpec, y: int) -> np.ndarray:
         for z in range(y, min(y + spec._chunk[0], spec.window or y + spec._chunk[0])):
             # Entry d * old size + r: digit d at position z, entry r below.
             table = np.add.outer(np.array((0,) + spec.column(z), dtype=np.int64), table).ravel()
-        _reduce_mod(table, spec.L).setflags(write=False)
+        # Letters below L, kept in the narrowest signed dtype: a uint64 table
+        # would promote the int64 sum in a_values to float64.
+        table = _reduce_mod(table, spec.L).astype(np.min_scalar_type(-spec.L))
+        table.setflags(write=False)
         tables[y] = table
     return tables[y]
 
@@ -314,6 +320,7 @@ def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
     reaching 2**63; TypeError for an integer beside a sequence.  A finite
     window fails exactly when the largest index has more digits than it.
     """
+    count = operator.index(count)
     if isinstance(start, _INTEGERS) and isinstance(stride, _INTEGERS):
         start, stride = operator.index(start), operator.index(stride)
         end, rows = _window_end(start, stride, count), 1
@@ -349,7 +356,7 @@ def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
             if i < len(tables) - 1:
                 carry = limb // D
                 limb -= carry * D
-            acc = np.add(acc, table[limb], out=acc) if i else table[limb]
+            acc = np.add(acc, table[limb], out=acc) if i else table[limb].astype(np.int64)
             if i % 63 == 62:
                 _reduce_mod(acc, spec.L)
         slabs.append(_reduce_mod(acc, spec.L) if len(tables) > 1 else acc)

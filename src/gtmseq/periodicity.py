@@ -238,15 +238,18 @@ def aenp_scan(
     if last >= 2**63:
         raise ValueError(f"index {last} reaches 2**63, beyond int64 indices")
     rows = max(min(word_budget(), 2**16) // max(horizon, 1), 1)
-    grid = itertools.product(range(1, max_stride + 1), range(max_start + 1))
+    # The grid's l and N, each as a lazy stream: no range is copied.
+    stride_stream = itertools.chain.from_iterable(
+        map(itertools.repeat, range(1, max_stride + 1), itertools.repeat(max_start + 1)))
+    start_stream = itertools.chain.from_iterable(map(range, itertools.repeat(max_start + 1)))
     hits = []
-    while batch := list(itertools.islice(grid, rows)):
-        strides, starts = zip(*batch)
+    while strides := list(itertools.islice(stride_stream, rows)):
+        starts = list(itertools.islice(start_stream, len(strides)))
         windows = a_values(spec, starts, strides, horizon)
         periods = _window_periods(windows, max_preperiod, max_period)
         hits += [
             {"N": start, "l": stride, "preperiod": found[0], "period": found[1]}
-            for (stride, start), found in zip(batch, periods)
+            for stride, start, found in zip(strides, starts, periods)
             if found is not None
         ]
     return hits

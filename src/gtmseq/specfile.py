@@ -22,8 +22,9 @@ more than parsing a small spec; ``splitlines`` handles CR and CRLF.
 It reads the file on every call, but returns one ``KappaSpec`` object
 per text among the last 8 texts parsed, so the work cached on a spec
 (``normal_form``, the ``classify`` verdict, the chunk tables of
-``kappa.a_values``, at most y0 + p tables of max(k, 4096) int64
-entries) is done once for all the calls that read one file.  A file
+``kappa.a_values``, at most y0 + p tables of max(k, 4096) entries in
+the narrowest signed dtype that holds L - 1, 4 KiB each for L <= 128 and
+k <= 4096) is done once for all the calls that read one file.  A file
 that fails to parse raises on every call.
 """
 

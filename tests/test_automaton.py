@@ -349,6 +349,19 @@ class TestSubsequenceKernel:
             # a_shift(r) = a(r * k**shift): the factor moves each digit up shift places.
             assert result.outputs[i] == (offset + a_of_n(spec, carry * spec.k**shift)) % spec.L
 
+    def test_every_output_of_a_carry_closure(self):
+        # The closure keeps one a_shift(carry) per (shift, carry) key, so
+        # one a_of_n per key checks the output of every state.
+        spec = KappaSpec(L=7, k=2, preperiod=0, period=1, table=((1,),))
+        result = subsequence_kernel(spec, 10**100, 3, max_states=10**5)
+        assert result.complete and len(result) == 8_488
+        sums = {}
+        for (shift, offset, carry), output in zip(result.states, result.outputs):
+            if (shift, carry) not in sums:
+                sums[shift, carry] = a_of_n(spec, carry * spec.k**shift)
+            assert output == (offset + sums[shift, carry]) % spec.L
+        assert len(sums) == 1_224
+
     @pytest.mark.parametrize("N, l, max_states", [
         (np.int64(3), np.int64(2), np.int64(10)),
         (np.uint8(0), np.int32(1), 4096),

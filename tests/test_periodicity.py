@@ -386,6 +386,20 @@ class TestAenpScanBatches:
         with pytest.raises(ValueError, match="2\\*\\*63"):
             aenp_scan(tm, 0, 2**62, 3)
 
+    @pytest.mark.parametrize("max_start", [2**62, np.int64(2**62)], ids=["int", "int64"])
+    def test_grid_walked_lazily(self, tm, monkeypatch, max_start):
+        # The grid has 4 * (2**62 + 1) windows: copying its range of starts
+        # would fail before the first batch reaches a_values.
+        class Reached(Exception):
+            pass
+
+        def refuse(*args):
+            raise Reached
+
+        monkeypatch.setattr(periodicity, "a_values", refuse)
+        with pytest.raises(Reached):
+            aenp_scan(tm, max_start, 4, 8)
+
     def test_peak_memory(self):
         # 32,000 windows in batches of 2**16 // 256 = 256: the indices,
         # the prefix sums and the candidate matrix of a batch stay small.

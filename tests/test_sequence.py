@@ -28,7 +28,7 @@ from gtmseq import (
 )
 from gtmseq.kappa import _reduce_mod
 from conftest import (alternating_spec, constant_spec, generate_prefix_morphic_literal,
-                      random_spec, zero_spec)
+                      random_spec, run_child, zero_spec)
 
 # Each pair ends one unsigned dtype of generate_prefix_morphic's word and
 # starts the next: the word holds sums up to 2L - 2, so L = 129, 32769 and
@@ -536,6 +536,60 @@ class TestBigWindows:
         assert a_values(spec, N, 3, 4).tolist() == [a_of_n(spec, N + 3 * n) for n in range(4)]
         assert 0 < len(spec.__dict__["_chunk_tables"]) <= 5
 
+    def test_peak_memory_of_tables_at_huge_index(self):
+        # The period 1,201 is prime to the 12 binary digits of a limb, so
+        # each of the 1,191 limbs of 10**4299 starts a column stream of its
+        # own and reads a table of its own: 4 KiB in int8, 32 KiB in int64.
+        code = (
+            "from gtmseq import KappaSpec, a_of_n, a_values\n"
+            "spec = KappaSpec(L=5, k=2, preperiod=0, period=1201,\n"
+            "                 table=(tuple(y * y % 5 for y in range(1201)),))\n"
+            "print(a_values(spec, 10**4299, 1, 1)[0] == a_of_n(spec, 10**4299))\n"
+            "print(len(spec.__dict__['_chunk_tables']))\n"
+        )
+        _, import_mb = run_child("import gtmseq\n")
+        (equal, tables), peak_mb = run_child(code)
+        assert (equal, tables) == ("True", "1191")
+        assert peak_mb - import_mb <= 12
+
+
+# L at each end of the signed dtypes a chunk table can take.
+TABLE_DTYPES = [(2, np.int8), (128, np.int8), (129, np.int16), (32768, np.int16),
+                (32769, np.int32), (2**31, np.int32), (2**31 + 1, np.int64), (2**57, np.int64)]
+
+
+class TestNarrowTables:
+    """A chunk table holds its letters below L in the narrowest signed dtype,
+    and ``a_values`` sums them in int64."""
+
+    @pytest.mark.parametrize("L, dtype", TABLE_DTYPES, ids=[f"L{L}" for L, _ in TABLE_DTYPES])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tables_narrow_and_sums_int64(self, L, dtype):
+        # k = 3 reads limbs of c = 7 digits; letters near L - 1 fill the
+        # top of each table, where a too narrow dtype would wrap.
+        spec = KappaSpec(L=L, k=3, preperiod=2, period=3,
+                         table=((L - 1, 1, L - 1, L // 2, L - 2), (L - 2, L - 1, 0, L - 1, 1)))
+        windows = [
+            (2**62 + 11, 2**40 + 3, 40),  # below 2**63
+            (2**70 + 5, 2**66 + 7, 20),  # past 2**63
+            (3**500 - 1, 3**499, 3),  # 72 limbs of digit 2: the reduction every 63
+        ]
+        for start, stride, count in windows:
+            got = a_values(spec, start, stride, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == [a_of_n(spec, start + n * stride) for n in range(count)]
+        starts, strides = [0, 7, 2**62], [1, 2**30, 5]
+        got = a_values(spec, starts, strides, 30)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[a_of_n(spec, s + n * d) for n in range(30)]
+                                for s, d in zip(starts, strides)]
+        tables = spec.__dict__["_chunk_tables"]
+        assert tables
+        for table in tables.values():
+            assert table.dtype == np.min_scalar_type(-L) == dtype
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
 
 class TestInputForms:
     """``a_values`` reads two integers as one window and two sequences of one
@@ -577,6 +631,20 @@ class TestInputForms:
         win = equally_spaced(spec, start, stride, 20)
         assert (type(win.start), type(win.stride)) == (int, int)
         assert win == equally_spaced(spec, int(start), int(stride), 20)
+
+    @pytest.mark.parametrize("count", [np.int64(5), np.uint64(5)], ids=["int64", "uint64"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_count_equals_int_count(self, rng, count):
+        spec = random_spec(rng, L_max=7, k_max=7)
+        want = [a_of_n(spec, 2**70 + n * 3) for n in range(5)]
+        got = a_values(spec, 2**70, 3, count)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert np.array_equal(got, a_values(spec, 2**70, 3, 5))
+        starts, strides = [0, 2**40], np.array([1, 3])
+        got = a_values(spec, starts, strides, count)
+        assert got.tolist() == [[a_of_n(spec, s + n * d) for n in range(5)]
+                                for s, d in zip(starts, strides.tolist())]
+        assert np.array_equal(got, a_values(spec, starts, strides, 5))
 
     @pytest.mark.parametrize("N, l", [
         (np.int64(5), np.int64(3)),
