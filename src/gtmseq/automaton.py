@@ -233,6 +233,7 @@ def kernel_brute_force(spec: KappaSpec, e_max: int, horizon: int) -> dict:
     105-132 bytes of resident memory (ru_maxrss over 0.1-1.1M members,
     k = 2..10, horizon 1), below 17 words of 8 bytes.
     """
+    e_max, horizon = operator.index(e_max), operator.index(horizon)
     if e_max < 0 or horizon < 1:
         raise ValueError("need e_max >= 0 and horizon >= 1")
     k, L = spec.k, spec.L

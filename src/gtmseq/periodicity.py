@@ -26,18 +26,25 @@ of a word, m = len(u) and the prime P = 2**31 - 1, u has period l only if
 S_m - S_l == B**l * S_{m-l} (mod P).  Each word's least such l is then
 checked exactly, which gives the least N or rejects a hash collision.
 (Wrap-around mod 2**64 is avoided: Thue-Morse blocks collide there.)
-Letters outside [0, P) are first reduced with ``np.remainder``, since
-they may lie near -2**63.  The other reductions mod P (of the terms
-u[i] * B**i, of S_{m-l}, and the test of the difference) take
-``kappa._reduce_mod``: their operands lie in [0, 2**62), in [0, m * P)
-and above -(2**62 + m * P), far from -2**63 for any m that fits in
-memory.
+A caller may promise that every letter lies in [0, letters), as
+``aenp_scan`` does with its L.  Without one, letters outside [0, P) are
+first reduced with ``np.remainder``, since they may lie near -2**63; with
+one past P, every letter is.  Every letter is then below
+lambda = min(letters, P), or P without a promise, so each term
+u[i] * B**i is at most (lambda - 1) * (P - 1).  The terms are reduced
+mod P only when (lambda - 1) * m >= 2**31: below that, every S_j is at most
+m * (lambda - 1) * (P - 1) < 2**31 * (P - 1) < 2**62, and reduced terms
+keep it below m * P.  So S_m - S_l lies in [0, 2**62) and
+B**l * (S_{m-l} mod P) in [0, P**2): the difference lies in
+(-2**62, 2**62).  These reductions take ``kappa._reduce_mod``, whose
+operands must stay above P - 2**63.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +162,15 @@ def _powers(size: int, modulus: int) -> np.ndarray:
     return powers
 
 
-def _window_periods(windows: np.ndarray, max_preperiod: int, max_period: int) -> list:
+def _window_periods(windows: np.ndarray, max_preperiod: int, max_period: int,
+                    letters: int | None = None) -> list:
     """brute_force_period of each row of a 2-D int64 array, in one pass.
 
     The hash filter and exact check of the module docstring; Python loops
-    only over the rows that verify and over collisions.
+    only over the rows that verify and over collisions.  ``letters``, when
+    not None, is the caller's promise that every entry lies in
+    [0, letters): it spares the scan for letters outside [0, P) and, while
+    (min(letters, P) - 1) * m < 2**31, the reduction of the hash terms.
     """
     rows, n = windows.shape
     if n < max_preperiod + 2 * max_period:
@@ -170,16 +181,24 @@ def _window_periods(windows: np.ndarray, max_preperiod: int, max_period: int) ->
     first = max(max_preperiod, 0)
     m, P = max(n - first, 0), _MODULUS
     # Every l >= m is a period of u, so the least one is at most max(m, 1).
-    ls = np.arange(1, min(max_period, max(m, 1)) + 1)
-    powers = _powers(max(m, ls.size) + 1, P)
+    r = max(min(max_period, max(m, 1)), 0)
+    powers = _powers(m + 1, P)
     u = windows[:, first:]
-    if u.min(initial=0) < 0 or u.max(initial=0) >= P:
+    if letters is None:  # no promise: past P exactly when a letter is outside [0, P)
+        letters = P + 1 if u.min(initial=0) < 0 or u.max(initial=0) >= P else P
+    if letters > P:
         u = u % P
+    terms = u * powers[:m]
+    if (min(letters, P) - 1) * m >= 2**31:  # else every S_j < 2**62 (module docstring)
+        _reduce_mod(terms, P)
     sums = np.zeros((rows, m + 1), dtype=np.int64)
-    np.cumsum(_reduce_mod(u * powers[:m], P), axis=1, out=sums[:, 1:])
-    clipped = np.minimum(ls, m)
-    gap = sums[:, m:] - sums[:, clipped] - powers[ls] * _reduce_mod(sums[:, m - clipped], P)
-    candidates = _reduce_mod(gap, P) == 0
+    np.cumsum(terms, axis=1, out=sums[:, 1:])
+    if m:  # S_m - S_l is taken before S_(m-l), l = 1..r, is reduced in place
+        gap = sums[:, m:] - sums[:, 1 : r + 1] - powers[1 : r + 1] * _reduce_mod(
+            sums[:, m - r : m][:, ::-1], P)
+        candidates = _reduce_mod(gap, P) == 0
+    else:  # the empty suffix has every period
+        candidates = np.ones((rows, r), dtype=bool)
     positions, found = np.arange(n), [None] * rows
     pending = np.flatnonzero(candidates.any(axis=1))
     while pending.size:
@@ -229,10 +248,9 @@ def aenp_scan(
     share one ``a_values`` call and one batched period search per batch
     of max(min(budget, 2**16) // horizon, 1).
     """
-    if max_preperiod is None:
-        max_preperiod = horizon // 4
-    if max_period is None:
-        max_period = horizon // 4
+    max_start, max_stride, horizon = map(operator.index, (max_start, max_stride, horizon))
+    max_preperiod = horizon // 4 if max_preperiod is None else operator.index(max_preperiod)
+    max_period = horizon // 4 if max_period is None else operator.index(max_period)
     _window_end(max_start, max_stride, horizon)  # one window's checks and budget
     last = max_start + max_stride * max(horizon - 1, 0)
     if last >= 2**63:
@@ -246,7 +264,7 @@ def aenp_scan(
     while strides := list(itertools.islice(stride_stream, rows)):
         starts = list(itertools.islice(start_stream, len(strides)))
         windows = a_values(spec, starts, strides, horizon)
-        periods = _window_periods(windows, max_preperiod, max_period)
+        periods = _window_periods(windows, max_preperiod, max_period, spec.L)
         hits += [
             {"N": start, "l": stride, "preperiod": found[0], "period": found[1]}
             for stride, start, found in zip(strides, starts, periods)

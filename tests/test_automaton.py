@@ -469,6 +469,17 @@ class TestKernelBruteForce:
         with pytest.raises(BudgetExceededError):
             kernel_brute_force(tm, 22, 1)
 
+    @pytest.mark.parametrize("e_max, horizon, charged", [
+        (np.int64(64), 1, "2\\*\\*69 or more"),
+        (np.int64(40), np.int64(2**30), "2\\*\\*70 or more"),
+    ], ids=["e_max", "e_max-horizon"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_arguments_charged_in_full(self, tm, e_max, horizon, charged):
+        # k**e_max * horizon in int64 would wrap below the budget's count
+        with pytest.raises(BudgetExceededError, match=f"^{charged} values exceed"):
+            kernel_brute_force(tm, e_max, horizon)
+        assert kernel_brute_force(tm, np.int64(3), np.uint8(4)) == kernel_brute_force(tm, 3, 4)
+
 
 def brute_force_definition(spec, e_max, horizon):
     """{prefix: [(e, j), ...]} built subsequence by subsequence from a_of_n."""

@@ -382,9 +382,18 @@ class TestAenpScanBatches:
         with pytest.raises(ValueError, match="need start >= 0, stride >= 1"):
             aenp_scan(tm, max_start, max_stride, 8)
 
-    def test_index_reaching_2_63_refused(self, tm):
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            aenp_scan(tm, 0, 2**62, 3)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_index_reaching_2_63_refused(self, tm, monkeypatch):
+        # numpy integers are read as ints: in int64 the last index would
+        # wrap below 2**63 and the scan would walk its 2**62 strides.
+        def refuse(*args):
+            raise AssertionError("grid scanned")
+
+        monkeypatch.setattr(periodicity, "a_values", refuse)
+        big = np.int64(2**62)
+        for grid in [(0, 2**62, 3), (0, big, 3), (big, np.int64(2**61), np.int64(3))]:
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                aenp_scan(tm, *grid)
 
     @pytest.mark.parametrize("max_start", [2**62, np.int64(2**62)], ids=["int", "int64"])
     def test_grid_walked_lazily(self, tm, monkeypatch, max_start):
@@ -518,3 +527,92 @@ class TestForcedCollisions:
     @pytest.mark.parametrize("rows", [None, 3])
     def test_scan_matches_per_window_loop(self, forced_collisions, rng, monkeypatch, rows):
         assert_scan_cases_match(rng, monkeypatch, rows)
+
+
+# Letters near the edges of int64 and of the hash modulus P = 2**31 - 1.
+edge_letters = st.builds(
+    int.__add__,
+    st.sampled_from([0, 2**31 - 1, 2**31, 2**57, 2**62, -2**62, -2**63 + 8, 2**63 - 9]),
+    st.integers(-8, 8),
+)
+
+
+@st.composite
+def promised_cases(draw):
+    """A period case over letters below a bound lambda, with (lambda - 1) * m
+    on either side of 2**31, or lambda past P."""
+    values, max_preperiod, max_period = draw(period_cases())
+    m = max(len(values) - max(max_preperiod, 0), 1)
+    letters = draw(st.one_of(
+        st.integers(-2, 2).map(lambda d: 2**31 // m + 1 + d),
+        st.sampled_from([2**31 - 2, 2**31 - 1, 2**31, 2**31 + 1, 2**57, 2**63]),
+    ))
+    alphabet = draw(st.lists(st.integers(letters - 8, letters - 1),
+                             min_size=4, max_size=4, unique=True))
+    return [alphabet[v] for v in values], max_preperiod, max_period, letters
+
+
+def progression_spec(L, k, c):
+    """kappa(s, y) = c * s * k**y mod L, so that a(n) = c * n mod L."""
+    orbit, v = [], c % L
+    while v not in orbit:
+        orbit.append(v)
+        v = v * k % L
+    columns = [tuple(x * s % L for s in range(1, k)) for x in orbit]
+    return make_spec(L, k, orbit.index(v), len(orbit) - orbit.index(v), columns)
+
+
+class TestHashRange:
+    """The hash terms are reduced mod P only where their sums could pass 2**62."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(period_cases(), st.lists(edge_letters, min_size=4, max_size=4, unique=True))
+    def test_letters_across_int64(self, case, alphabet):
+        values, max_preperiod, max_period = case
+        assert_matches_literal_definition(([alphabet[v] for v in values], max_preperiod, max_period))
+
+    @settings(max_examples=300, deadline=None)
+    @given(promised_cases())
+    def test_promised_letter_bound(self, case):
+        values, max_preperiod, max_period, letters = case
+        windows = np.array(values, dtype=np.int64).reshape(1, -1)
+        try:
+            want = literal_period(values, max_preperiod, max_period)
+        except ValueError:
+            with pytest.raises(ValueError):
+                periodicity._window_periods(windows, max_preperiod, max_period, letters)
+            return
+        assert periodicity._window_periods(windows, max_preperiod, max_period, letters) == [want]
+
+    @pytest.mark.parametrize("L, divisor", [(2**31 - 2, 2), (2**31 + 1, 3), (2**57, 8)])
+    def test_scan_with_large_letters(self, rng, L, divisor):
+        # a(n) = c * n mod L with L / c small has periodic windows; random
+        # tables have none.
+        for trial in range(6):
+            k = rng.randint(2, 4)
+            if trial % 2:
+                spec = progression_spec(L, k, L // divisor * rng.randrange(1, divisor))
+            else:
+                table = tuple(tuple(rng.randrange(L) for _ in range(3)) for _ in range(k - 1))
+                spec = KappaSpec(L=L, k=k, preperiod=1, period=2, table=table)
+            horizon = rng.choice([40, 64, 128])
+            want = per_window_scan(spec, 3, 3, horizon, horizon // 4, horizon // 4)
+            assert aenp_scan(spec, 3, 3, horizon) == want
+            assert any(want) == bool(trial % 2)
+
+    def test_terms_reduced_only_where_int64_could_overflow(self, tm, monkeypatch):
+        # 42 windows of 256 letters below L = 2 are one batch: their sums
+        # stay below 2**62 unreduced, so only S_(m-l) and the difference
+        # are reduced.  Letters below 2**57 still reduce their terms.
+        calls = []
+        for name in ("_reduce_mod", "_window_periods"):
+            def counted(*args, _name=name, _f=getattr(periodicity, name)):
+                calls.append(_name)
+                return _f(*args)
+
+            monkeypatch.setattr(periodicity, name, counted)
+        assert aenp_scan(tm, 20, 2, 256) == []
+        assert calls == ["_window_periods", "_reduce_mod", "_reduce_mod"]
+        calls.clear()
+        assert len(aenp_scan(progression_spec(2**57, 2, 2**55), 20, 2, 256)) == 42
+        assert calls == ["_window_periods"] + ["_reduce_mod"] * 3
