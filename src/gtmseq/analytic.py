@@ -7,6 +7,7 @@ returned as exact enclosing intervals, never rounded decimals.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,6 +55,7 @@ def eval_series(
     tail bound beta**-T from a(.) <= beta - 1.  The interval has width
     below 10**-digits and contains the true value.
     """
+    beta, digits = operator.index(beta), operator.index(digits)
     if beta < spec.L:
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     if digits < 1:
@@ -73,6 +75,7 @@ def periodic_series_value(spec: KappaSpec, N: int, l: int, beta: int) -> Fractio
     (beta**P - 1); any multiple of P would give the same Fraction.
     Raises ValueError unless the spec is Periodic.
     """
+    beta = operator.index(beta)
     if beta < spec.L:
         raise ValueError(f"beta must be >= L = {spec.L}, got {beta}")
     verdict = classify(spec)

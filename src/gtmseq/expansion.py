@@ -14,6 +14,7 @@ leading coefficient 1 followed by a gap of more than t empty positions.
 from __future__ import annotations
 
 import decimal
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -62,7 +63,7 @@ class GapMultipleResult:
 def expand(n: int, k: int) -> DigitExpansion:
     """Base-k expansion of n as (coefficient, exponent) terms, read by ``kappa._digits``."""
     terms = tuple((s, w) for w, s in enumerate(_digits(n, k)) if s)
-    return DigitExpansion(base=k, terms=terms)
+    return DigitExpansion(base=operator.index(k), terms=terms)
 
 
 def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
@@ -79,6 +80,7 @@ def gap_multiple(l: int, k: int, t: int) -> GapMultipleResult:
     D*G = 1 + c * k**(t+1) with c >= 1, so (D*G)**2 - 1 is a positive
     multiple of k**(t+1).
     """
+    l, k, t = operator.index(l), operator.index(k), operator.index(t)
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if k < 2:

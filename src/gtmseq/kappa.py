@@ -18,9 +18,10 @@ digit positions i*c .. i*c + c - 1, whose entry t sums kappa over the
 base-k digits of t there, mod L.  numpy floors by a scalar divisor with
 libdivide but runs ``%`` and ``divmod`` element by element, so a limb
 is split off as ``x - x // D * D`` and every reduction mod L is
-``_reduce_mod``.  Slabs of 2**14 values bound its working memory beyond
-the output and keep it in cache.  It shares no code with
-``generate_prefix_morphic``, the independent oracle.
+``_reduce_mod``.  Both input forms are charged to the budget and fill one
+int64 result, each slab of 2**14 values in place in its own columns, so
+the temporaries beyond the result stay one slab, in cache.  It shares no
+code with ``generate_prefix_morphic``, the independent oracle.
 
 A spec keeps its chunk tables by the canonical column they start at: at
 most y0 + p of them (ceil(window / c) for a finite window) of D entries,
@@ -110,6 +111,9 @@ class KappaSpec:
     name: str | None = None
 
     def __post_init__(self):
+        for name in ("L", "k", "preperiod", "period", "window"):  # numpy integers read as ints
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, operator.index(value))
         # a_values sums 63 letters and a residue below L in int64: 64*(L-1) < 2**63
         if not 2 <= self.L <= 2**57:
             raise ValueError(f"L must lie in [2, 2**57], got {self.L}")
@@ -137,6 +141,7 @@ class KappaSpec:
             for v in row:
                 if not 0 <= v < self.L:
                     raise ValueError(f"table entry {v} outside [0, {self.L - 1}]")
+        object.__setattr__(self, "table", tuple(tuple(map(operator.index, r)) for r in self.table))
 
     @property
     def is_finite_window(self) -> bool:
@@ -240,6 +245,7 @@ def _letter_sum(x: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
 
 def _ladder(n: int, k: int) -> list[int]:
     """[k, k**2, k**4, ...] up to the first power above n: the one reader of base-k numerals."""
+    n, k = operator.index(n), operator.index(k)
     if k < 2:
         raise ValueError(f"base k must be >= 2, got {k}")
     if n < 0:
@@ -253,6 +259,7 @@ def _ladder(n: int, k: int) -> list[int]:
 def _digits(n: int, k: int) -> list[int]:
     """The base-k digits of n, least significant first, zero-padded to 2**i:
     n split by the ladder's powers, largest first (Brent & Zimmermann, 1.7)."""
+    n = operator.index(n)  # the ladder reads k
     digits = [n]
     for p in reversed(_ladder(n, k)[:-1]):
         digits = [part for x in digits for part in divmod(x, p)[::-1]]
@@ -314,18 +321,17 @@ def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
     """a(start + n*stride) for n < count, as an int64 array.
 
     Integers ``start`` and ``stride`` (Python or numpy) give one window of
-    ``count`` values charged to the budget; sequences of ints of one length
-    give one row per entry, which their caller budgets.  ValueError for rows
-    of unequal lengths, a start < 0, a stride < 1, count < 0 or a row index
+    ``count`` values; sequences of ints of one length give one row per
+    entry.  Both forms are charged to the budget.  ValueError for rows of
+    unequal lengths, a start < 0, a stride < 1, count < 0 or a row index
     reaching 2**63; TypeError for an integer beside a sequence.  A finite
     window fails exactly when the largest index has more digits than it.
     """
     count = operator.index(count)
     if isinstance(start, _INTEGERS) and isinstance(stride, _INTEGERS):
         start, stride = operator.index(start), operator.index(stride)
-        end, rows = _window_end(start, stride, count), 1
-        # no index is read from an empty window, nor the stride of one value
-        start, stride = start if count else 0, stride if count > 1 else 0
+        end, values = _window_end(start, stride, count), np.empty(count, dtype=np.int64)
+        rows, stride = 1, stride if count > 1 else 0  # one value never reads the stride
     else:
         # Rows are checked in Python ints, which cannot wrap around.
         starts, strides = (x.tolist() if isinstance(x, np.ndarray) else x for x in (start, stride))
@@ -336,6 +342,8 @@ def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
         end = max((s + d * (count - 1) for s, d in zip(starts, strides) if count), default=0)
         if end >= 2**63:
             raise ValueError(f"index {end} reaches 2**63, beyond int64 indices")
+        check_budget(rows * count)
+        values = np.empty((rows, count), dtype=np.int64)
         start, stride = (np.asarray(x, dtype=np.int64)[:, None] for x in (starts, strides))
     c, D = spec._chunk
     digits = max(_numeral_length(end, spec.k), 1)
@@ -347,8 +355,8 @@ def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
     limbs = [(start, stride)] if end < 2**63 else list(
         itertools.zip_longest(_digits(start, D), _digits(stride, D), fillvalue=0))
     width = max(_SLAB // max(rows, 1), 1)
-    slabs = []
-    for lo in range(0, max(count, 1), width):
+    for lo in range(0, count, width):
+        acc = values[..., lo:lo + width]  # each slab sums into its own columns
         n = np.arange(lo, min(lo + width, count), dtype=np.int64)
         carry = limbs[0][1] * n + limbs[0][0]
         for i, (table, (s, d)) in enumerate(zip(tables, limbs + [(0, 0)] * len(tables))):
@@ -356,11 +364,10 @@ def a_values(spec: KappaSpec, start, stride, count: int) -> np.ndarray:
             if i < len(tables) - 1:
                 carry = limb // D
                 limb -= carry * D
-            acc = np.add(acc, table[limb], out=acc) if i else table[limb].astype(np.int64)
-            if i % 63 == 62:
+            np.add(acc, table[limb], out=acc) if i else np.copyto(acc, table[limb])
+            if i % 63 == 62 or 0 < i == len(tables) - 1:
                 _reduce_mod(acc, spec.L)
-        slabs.append(_reduce_mod(acc, spec.L) if len(tables) > 1 else acc)
-    return slabs[0] if len(slabs) == 1 else np.concatenate(slabs, axis=-1)
+    return values
 
 
 def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
@@ -371,6 +378,7 @@ def generate_prefix_morphic(spec: KappaSpec, m: int) -> np.ndarray:
     substitution kernel; the word lists the root-of-unity exponents of the
     coefficients of prod_{y<m} (1 + sum_s zeta**kappa(s,y) * z**(s*k**y)).
     """
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m:

@@ -68,12 +68,13 @@ class StammerWitness:
 
 def min_legal_m(N: int, l: int, k: int) -> int:
     """Smallest admissible construction index: M+1, M the least with k**M > 2(N+l)."""
+    N, l, k = operator.index(N), operator.index(l), operator.index(k)
     return _numeral_length(2 * (N + l), k) + 1
 
 
 def build_witness(spec: KappaSpec, N: int, l: int, m: int) -> StammerWitness:
     """Construct a stammering witness for the subsequence a(N + n*l)."""
-    N, l = operator.index(N), operator.index(l)
+    N, l, m = operator.index(N), operator.index(l), operator.index(m)
     if N < 0 or l < 1:
         raise ValueError("need N >= 0 and l >= 1")
     verdict = classify(spec)

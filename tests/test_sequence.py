@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtmseq import (
     BudgetExceededError,
@@ -21,11 +21,13 @@ from gtmseq import (
     eval_cf,
     eval_series,
     expand,
+    gap_multiple,
     generate_prefix_morphic,
     kernel_brute_force,
     min_legal_m,
     periodic_series_value,
 )
+from gtmseq import kappa
 from gtmseq.kappa import _reduce_mod
 from conftest import (alternating_spec, constant_spec, generate_prefix_morphic_literal,
                       random_spec, run_child, zero_spec)
@@ -214,6 +216,8 @@ class TestVectorized:
 
     def test_empty(self, tm):
         assert a_values(tm, 5, 3, 0).shape == (0,)
+        assert a_values(tm, 2**100, 2**100, 0).shape == (0,)  # reads no index
+        assert a_values(tm, 2**100 + 5, 2**100, 1).tolist() == [a_of_n(tm, 2**100 + 5)]
         assert a_values(tm, np.zeros(0, dtype=np.int64), np.ones(0, dtype=np.int64), 4).shape \
             == (0, 4)
 
@@ -229,6 +233,15 @@ class TestVectorized:
         with pytest.raises(ValueError, match=f"index {2**63} reaches 2\\*\\*63"):
             a_values(tm, np.array([2**62, 0]), np.array([2**61, 1]), 3)
         assert a_values(tm, 2**62, 2**61, 3).tolist() == [1, 0, 1]
+
+    def test_rows_charged_to_budget(self, tm, monkeypatch):
+        # Rows are charged rows * count, as one window of that many values is.
+        monkeypatch.setenv("GTMSEQ_BUDGET", "1000")
+        assert a_values(tm, [0, 1], [1, 1], 500).shape == (2, 500)
+        with pytest.raises(BudgetExceededError, match="^1002 values exceed budget 1000$"):
+            a_values(tm, [0, 1], [1, 1], 501)
+        with pytest.raises(ValueError, match="unequal rows"):  # the checks come first
+            a_values(tm, [0, 1], [1], 10**6)
 
 
 def per_digit_values(spec, indices):
@@ -474,6 +487,11 @@ class TestBigWindows:
 
     @settings(max_examples=40, deadline=None)
     @given(distinct_column_specs(), BIG_INDICES, BIG_INDICES, st.integers(0, 4))
+    # An empty window reads no index, and a one-value window not its stride.
+    @example(constant_spec(3, 3, (1, 2)), 2**100, 2**100 - 1, 0)
+    @example(constant_spec(3, 3, (1, 2)), 2**100 + 5, 2**100 - 1, 1)
+    @example(constant_spec(3, 3, (1, 2)), 2**63 - 1, 2**100 - 1, 1)
+    @example(constant_spec(3, 3, (1, 2)), 5, 2**100 - 1, 1)
     def test_matches_a_of_n(self, spec, start, stride, count):
         stride += 1
         got = a_values(spec, start, stride, count)
@@ -514,6 +532,25 @@ class TestBigWindows:
         assert got.shape == (len(windows), count)
         for row, (start, stride) in zip(got.tolist(), windows):
             assert row == a_values(spec, start, stride, count).tolist()
+
+    @pytest.mark.parametrize("read, last", [
+        ("a_values(tm, 0, 1, 4_000_000)", 3_999_999),
+        ("a_values(tm, [0, 5, 2**40, 3], [1, 2, 3, 7], 1_000_000)", 3 + 7 * 999_999),
+    ], ids=["window", "rows"])
+    def test_peak_memory_is_one_result_array(self, read, last):
+        # 30.5 MB of int64 results in 245 slabs: each slab sums into its own
+        # columns of the one result array, and no copy of the whole is made.
+        code = (
+            "from gtmseq import KappaSpec, a_of_n, a_values\n"
+            "tm = KappaSpec(L=2, k=2, preperiod=0, period=1, table=((1,),))\n"
+            f"values = {read}\n"
+            "print(values.size, values.dtype)\n"
+            f"print(values.flat[-1] == a_of_n(tm, {last}))\n"
+        )
+        _, import_mb = run_child("import gtmseq\n")
+        lines, peak_mb = run_child(code)
+        assert lines == ["4000000", "int64", "True"]
+        assert peak_mb - import_mb <= 40
 
     @pytest.mark.parametrize("L", [2**57, 2**57 - 1], ids=["L2**57", "L2**57-1"])
     @pytest.mark.parametrize("k", [2, 100], ids=["k2-c12", "k100-c1"])
@@ -663,6 +700,57 @@ class TestInputForms:
             witness = build_witness(tm, N, l, m)
             assert witness == build_witness(tm, *ints, m)
             assert (type(witness.N), type(witness.l)) == (int, int)
+
+    # The tests below check types or values first: a numpy k squared in
+    # int64 wraps, and the ladder of its powers would never pass n.
+    def test_numpy_base_expands_as_int(self):
+        got = expand(10, np.int64(3))
+        assert type(got.base) is int and {type(x) for term in got.terms for x in term} == {int}
+        assert got == expand(10, 3)
+        assert expand(2**70, np.int64(3)) == expand(2**70, 3)
+
+    def test_numpy_spec_fields_read_as_ints(self, tm):
+        spec = KappaSpec(L=np.int64(2), k=np.int64(2), preperiod=np.uint8(0),
+                         period=np.int64(1), table=((np.int64(1),),))
+        fields = (spec.L, spec.k, spec.preperiod, spec.period, spec.table[0][0])
+        assert {type(x) for x in fields} == {int}
+        assert spec == replace(tm, name=None) and hash(spec) == hash(replace(tm, name=None))
+        window = KappaSpec(L=2, k=2, preperiod=0, period=None, table=((1, 1),),
+                           window=np.int64(2))
+        assert type(window.window) is int
+        assert a_values(spec, 2**62, 1, 3).tolist() == [a_of_n(tm, 2**62 + n) for n in range(3)]
+
+    def test_numpy_stammer_arguments_read_as_ints(self, tm):
+        # 2 * (N + l) is 2**64, which wraps to 0 in int64.
+        assert min_legal_m(np.int64(2**62), np.int64(2**62), 2) == 66
+        witness = build_witness(tm, 0, 1, np.int64(4))
+        assert type(witness.m) is int and witness == build_witness(tm, 0, 1, 4)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_beta_and_gap_arguments_answer_as_ints(self, tm):
+        assert eval_series(tm, 0, 1, np.int64(3), 5) == eval_series(tm, 0, 1, 3, 5)
+        periodic = constant_spec(2, 3, (1, 0))
+        assert (periodic_series_value(periodic, 0, 1, np.int64(2**40))
+                == periodic_series_value(periodic, 0, 1, 2**40))
+        want = gap_multiple(6, 2, 40)
+        for args in [(6, np.int64(2), 40), (np.int64(6), 2, 40), (6, 2, np.int64(40))]:
+            assert gap_multiple(*args) == want
+
+    def test_numpy_morphic_m_is_charged(self, tm, monkeypatch):
+        # tm.k ** np.int64(64) wraps to 0, which the budget would admit.
+        class Charged(Exception):
+            pass
+
+        charges = []
+
+        def record(count):
+            charges.append(count)
+            raise Charged
+
+        monkeypatch.setattr(kappa, "check_budget", record)
+        with pytest.raises(Charged):
+            generate_prefix_morphic(tm, np.int64(64))
+        assert charges == [2**64] and type(charges[0]) is int
 
 
 class TestEquallySpaced:
